@@ -24,6 +24,19 @@
 //! deeply must read replies concurrently with its writes (or cap its
 //! in-flight points) — see the pipelining note in `docs/PROTOCOL.md`.
 //!
+//! Socket I/O is **coalesced**. Commands are read through a
+//! [`FrameReader`] — a [`BUFFER_SIZE`] read buffer and one reused
+//! payload buffer — so a burst of pipelined frames costs one `read` on
+//! the stream, not two per frame. The writer thread encodes replies back
+//! to back into one buffer and hands it over in one `write_all` when
+//! the buffer reaches [`BUFFER_SIZE`], and **whenever the server would
+//! otherwise wait**: before waiting for the next command to be
+//! submitted, and before waiting on a reply whose compute is still
+//! running. No reply is held back to fill a batch — at depth 1 every
+//! reply is written before the server blocks again, and a finished reply
+//! never waits behind a slow pipelined one. The connection keeps three
+//! such buffers between frames (read, payload, reply): about 24 KiB.
+//!
 //! Engine-level failures (unknown session, too-large command, budget)
 //! travel as [`Reply::Err`] frames and the connection keeps going; only
 //! *protocol* violations (bad magic, truncated frame, unknown opcode)
@@ -31,9 +44,9 @@
 //! the byte stream can no longer be trusted.
 
 use crate::ingress::{Command, Reply, SubmitHandle, Ticket};
-use crate::wire::{read_command, write_reply, WireError};
+use crate::wire::{encode_reply_into, FrameReader, WireError, BUFFER_SIZE};
 use std::io::{Read, Write};
-use std::sync::mpsc::{self, TryRecvError};
+use std::sync::mpsc::{self, Receiver, TryRecvError};
 
 /// Cap on replies resolved-or-in-flight between the reader and writer
 /// sides of one connection. When a client writes commands without
@@ -63,12 +76,86 @@ enum Pending {
     Now(Reply),
 }
 
-impl Pending {
-    fn resolve(self) -> Reply {
-        match self {
-            Pending::Ticket(t) => t.wait(),
-            Pending::Now(r) => r,
+/// Reply frames encoded back to back into one buffer, handed to the
+/// writer in a single `write_all` when the buffer reaches
+/// [`BUFFER_SIZE`] or the server is about to wait.
+struct ReplyBatch<'w, W> {
+    writer: &'w mut W,
+    bytes: Vec<u8>,
+    /// Replies in `bytes`.
+    frames: usize,
+    /// Replies handed to the writer without error.
+    written: usize,
+}
+
+impl<W: Write> ReplyBatch<'_, W> {
+    fn push(&mut self, reply: &Reply) -> Result<(), WireError> {
+        encode_reply_into(&mut self.bytes, reply)?;
+        self.frames += 1;
+        if self.bytes.len() >= BUFFER_SIZE {
+            self.write_out()?;
         }
+        Ok(())
+    }
+
+    /// One `write_all` of every buffered reply. A batch whose write
+    /// failed is dropped, never re-sent: how much of it reached the peer
+    /// is unknown.
+    fn write_out(&mut self) -> Result<(), WireError> {
+        if self.bytes.is_empty() {
+            return Ok(());
+        }
+        let frames = std::mem::take(&mut self.frames);
+        let result = self.writer.write_all(&self.bytes);
+        self.bytes.clear();
+        self.bytes.shrink_to(BUFFER_SIZE);
+        result?;
+        self.written += frames;
+        Ok(())
+    }
+
+    /// [`write_out`](Self::write_out), then flush the writer: the server
+    /// is about to wait, so no reply may stay behind in a buffer.
+    fn flush(&mut self) -> Result<(), WireError> {
+        self.write_out()?;
+        self.writer.flush()?;
+        Ok(())
+    }
+}
+
+/// The writer side of one connection: resolve the slots in command
+/// order and batch their replies, writing the batch out whenever the
+/// next step would block — before waiting for the reader side to send
+/// a slot, and before waiting on a head ticket whose compute is still
+/// running (so a finished reply never waits behind a slow one). Returns
+/// once the reader side hangs up.
+fn write_replies<W: Write>(
+    rx: &Receiver<Pending>,
+    out: &mut ReplyBatch<'_, W>,
+) -> Result<(), WireError> {
+    loop {
+        let slot = match rx.try_recv() {
+            Ok(slot) => slot,
+            Err(TryRecvError::Disconnected) => return Ok(()),
+            Err(TryRecvError::Empty) => {
+                out.flush()?;
+                match rx.recv() {
+                    Ok(slot) => slot,
+                    Err(_) => return Ok(()),
+                }
+            }
+        };
+        let reply = match slot {
+            Pending::Now(reply) => reply,
+            Pending::Ticket(ticket) => match ticket.try_wait() {
+                Some(reply) => reply,
+                None => {
+                    out.flush()?;
+                    ticket.wait()
+                }
+            },
+        };
+        out.push(&reply)?;
     }
 }
 
@@ -88,7 +175,9 @@ impl Pending {
 /// [`EngineHandle::submit_handle`](crate::EngineHandle::submit_handle)
 /// when each connection gets its own thread. The loop occupies the
 /// calling thread and one scoped writer thread until the connection
-/// ends.
+/// ends. Pass the raw stream halves: the loop buffers both directions
+/// itself (see the [module docs](self)), and flushes a writer that has
+/// its own buffer whenever it would wait.
 ///
 /// # Errors
 /// A [`WireError`] for protocol violations on either direction (replies
@@ -117,38 +206,24 @@ pub(crate) fn serve_connection_counted<R: Read, W: Write + Send>(
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::sync_channel::<Pending>(REPLY_BACKLOG);
         let writer_thread = s.spawn(move || -> (usize, Option<WireError>) {
-            let mut replies = 0usize;
-            loop {
-                // Batch while busy, flush before idling: bytes never sit
-                // in a buffered writer while the connection waits.
-                let slot = match rx.try_recv() {
-                    Ok(slot) => slot,
-                    Err(TryRecvError::Empty) => {
-                        if let Err(e) = writer.flush() {
-                            return (replies, Some(e.into()));
-                        }
-                        match rx.recv() {
-                            Ok(slot) => slot,
-                            Err(_) => break,
-                        }
-                    }
-                    Err(TryRecvError::Disconnected) => break,
-                };
-                if let Err(e) = write_reply(writer, &slot.resolve()) {
-                    return (replies, Some(e));
-                }
-                replies += 1;
-            }
-            match writer.flush() {
-                Err(e) => (replies, Some(e.into())),
-                Ok(()) => (replies, None),
-            }
+            let mut out = ReplyBatch {
+                writer,
+                bytes: Vec::with_capacity(BUFFER_SIZE),
+                frames: 0,
+                written: 0,
+            };
+            let result = write_replies(&rx, &mut out);
+            // Replies batched before an encoding failure still go out
+            // (after a failed write the batch is already dropped).
+            let tail = out.flush();
+            (out.written, result.and(tail).err())
         });
 
+        let mut frames = FrameReader::new(reader);
         let mut commands = 0usize;
         let mut read_error = None;
         loop {
-            let cmd = match read_command(reader) {
+            let cmd = match frames.read_command() {
                 Ok(Some(cmd)) => cmd,
                 Ok(None) => break, // clean EOF between frames
                 Err(e) => {

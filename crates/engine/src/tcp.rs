@@ -23,6 +23,11 @@
 //! count. See `docs/OPERATIONS.md` for deployment guidance (ports,
 //! connection limits, shutdown drill).
 //!
+//! Each connection thread hands `serve_connection` its raw socket on
+//! both sides; the serve loop buffers both directions itself, so a burst
+//! of pipelined frames costs one `read` and a burst of ready replies one
+//! `write`, for about 24 KiB of buffers per connection.
+//!
 //! # Examples
 //!
 //! ```
@@ -257,8 +262,10 @@ impl Drop for TcpFront {
 /// Reader adapter implementing [`TcpOptions::idle_timeout`]: a read
 /// that trips the socket's read timeout is reported as EOF, so the
 /// serve loop ends the connection exactly as if the peer had closed it
-/// — between frames that is a clean goodbye, mid-frame it is the usual
-/// truncation error. The flag lets the connection thread count the reap.
+/// — between frames that is a clean goodbye, mid-frame (including a
+/// partial frame already in the serve loop's read buffer) it is the
+/// usual truncation error. The flag lets the connection thread count
+/// the reap.
 struct IdleReader<'a> {
     stream: &'a TcpStream,
     timed_out: bool,

@@ -29,7 +29,7 @@ use crate::spec::{LossSpec, MechanismSpec, SetSpec, SolverSpec};
 use pir_core::{DescentStrategy, PrivIncReg1Config, PrivIncReg2Config, TauRule};
 use pir_dp::PrivacyParams;
 use pir_erm::DataPoint;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"PIRW";
@@ -40,6 +40,11 @@ pub const VERSION: u8 = 1;
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 12;
+/// Size of each per-connection stream buffer the server keeps: the
+/// [`FrameReader`]'s read buffer, the bytes its payload buffer keeps
+/// between frames, and the reply bytes the server collects before one
+/// `write` (std's `BufReader`/`BufWriter` default).
+pub const BUFFER_SIZE: usize = 8 * 1024;
 
 /// Frame opcodes (commands in 0x01–0x7F, replies in 0x80–0xFF).
 pub mod opcode {
@@ -881,14 +886,17 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, WireErr
 }
 
 /// Read one command frame from a stream. `Ok(None)` on clean EOF between
-/// frames; mid-frame EOF is [`WireError::Truncated`].
+/// frames; mid-frame EOF is [`WireError::Truncated`]. Each call reads
+/// only the frame's own bytes, in at least two `read` calls; a server
+/// reading many frames off one stream uses a [`FrameReader`] instead.
 ///
 /// # Errors
 /// Any [`WireError`] the header, payload, or stream violates.
 pub fn read_command<R: Read>(r: &mut R) -> Result<Option<Command>, WireError> {
-    match read_frame(r)? {
+    let mut payload = Vec::new();
+    match read_frame(r, &mut payload)? {
         None => Ok(None),
-        Some((op, payload)) => decode_command_payload(op, &payload).map(Some),
+        Some(op) => decode_command_payload(op, &payload).map(Some),
     }
 }
 
@@ -898,23 +906,60 @@ pub fn read_command<R: Read>(r: &mut R) -> Result<Option<Command>, WireError> {
 /// # Errors
 /// Any [`WireError`] the header, payload, or stream violates.
 pub fn read_reply<R: Read>(r: &mut R) -> Result<Option<Reply>, WireError> {
-    match read_frame(r)? {
+    let mut payload = Vec::new();
+    match read_frame(r, &mut payload)? {
         None => Ok(None),
-        Some((op, payload)) => decode_reply_payload(op, &payload).map(Some),
+        Some(op) => decode_reply_payload(op, &payload).map(Some),
     }
 }
 
-fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+/// Read one frame's header and payload, the payload into `payload`
+/// (resized to fit), and return its opcode.
+fn read_frame<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<u8>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     if !read_exact_or_eof(r, &mut header)? {
         return Ok(None);
     }
     let (op, len) = parse_header(&header)?;
-    let mut payload = vec![0u8; len];
-    if len > 0 && !read_exact_or_eof(r, &mut payload)? {
+    payload.clear();
+    payload.resize(len, 0);
+    if len > 0 && !read_exact_or_eof(r, payload)? {
         return Err(WireError::Truncated { expected: len, got: 0 });
     }
-    Ok(Some((op, payload)))
+    Ok(Some(op))
+}
+
+/// Command frames read off one stream through a [`BUFFER_SIZE`] read
+/// buffer — the server's read side. A burst of pipelined frames costs
+/// one `read` call on the stream rather than two per frame, and every
+/// payload lands in one reused buffer rather than a fresh allocation.
+/// A frame larger than the buffer is read straight into the payload
+/// buffer, which keeps at most [`BUFFER_SIZE`] bytes between frames.
+/// Framing and errors are exactly those of [`read_command`].
+pub struct FrameReader<R> {
+    inner: BufReader<R>,
+    payload: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Buffer reads from `inner`.
+    pub fn new(inner: R) -> Self {
+        FrameReader { inner: BufReader::with_capacity(BUFFER_SIZE, inner), payload: Vec::new() }
+    }
+
+    /// Read the next command frame: `Ok(None)` on clean EOF between
+    /// frames, as [`read_command`].
+    ///
+    /// # Errors
+    /// Any [`WireError`] the header, payload, or stream violates.
+    pub fn read_command(&mut self) -> Result<Option<Command>, WireError> {
+        let Some(op) = read_frame(&mut self.inner, &mut self.payload)? else {
+            return Ok(None);
+        };
+        let cmd = decode_command_payload(op, &self.payload);
+        self.payload.shrink_to(BUFFER_SIZE);
+        cmd.map(Some)
+    }
 }
 
 /// Write one command frame to a stream.

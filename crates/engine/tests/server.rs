@@ -4,14 +4,19 @@
 //! must flow-control — never emit a spurious transient-backpressure
 //! reply — and answer strictly in command order, matching what a caller
 //! holding the `SubmitHandle` directly would get for the same commands.
+//! The loop's use of the stream is pinned too: a pipelined burst costs a
+//! handful of `read` and `write` calls, and every reply is written
+//! before the loop waits — on the client or on a slower reply.
 
 use pir_dp::PrivacyParams;
-use pir_engine::wire::{read_reply, write_command};
+use pir_engine::wire::{encode_command, encode_reply, read_reply, write_command};
 use pir_engine::{
     serve_connection, Command, EngineError, EngineHandle, IngressConfig, MechanismSpec, Reply,
 };
 use pir_erm::DataPoint;
 use proptest::prelude::*;
+use std::io::{Read, Write};
+use std::sync::mpsc;
 
 fn params() -> PrivacyParams {
     PrivacyParams::approx(1.0, 1e-6).unwrap()
@@ -195,4 +200,268 @@ fn custom_set_specs_are_rejected_before_any_bytes_hit_the_stream() {
     let mut out = Vec::new();
     assert!(matches!(write_command(&mut out, &cmd), Err(WireError::Unencodable(_))));
     assert!(out.is_empty(), "a rejected command must not leave a partial frame behind");
+}
+
+/// Renders `commands` as one request byte stream.
+fn request_bytes(commands: &[Command]) -> Vec<u8> {
+    let mut request = Vec::new();
+    for cmd in commands {
+        write_command(&mut request, cmd).unwrap();
+    }
+    request
+}
+
+/// Splits one `write` call's bytes into the reply frames it carries.
+fn replies_in(bytes: &[u8]) -> Vec<Reply> {
+    let mut r = bytes;
+    let mut replies = Vec::new();
+    while let Some(reply) = read_reply(&mut r).unwrap() {
+        replies.push(reply);
+    }
+    replies
+}
+
+/// A request stream that counts the `read` calls made on it and reports
+/// when the server has read it to its end.
+struct CountingReader<'a> {
+    bytes: &'a [u8],
+    reads: usize,
+    at_eof: mpsc::Sender<()>,
+}
+
+impl Read for CountingReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        let n = self.bytes.read(buf)?;
+        if n == 0 {
+            let _ = self.at_eof.send(());
+        }
+        Ok(n)
+    }
+}
+
+/// A reply sink that records every `write` call and reports the number
+/// of reply frames in each on `notify`. Its first call blocks until
+/// `gate` opens, as a write to a full socket send buffer would.
+#[derive(Default)]
+struct RecordingWriter {
+    writes: Vec<Vec<u8>>,
+    notify: Option<mpsc::Sender<usize>>,
+    gate: Option<mpsc::Receiver<()>>,
+}
+
+impl Write for RecordingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if let Some(notify) = &self.notify {
+            let _ = notify.send(replies_in(buf).len());
+        }
+        if let Some(gate) = self.gate.take() {
+            // A dropped sender opens the gate too, so a failing test
+            // cannot leave this thread blocked.
+            let _ = gate.recv();
+        }
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Waits up to 30 s for the server's next `write` call: a server that
+/// blocks with a reply unwritten fails the read instead of hanging.
+fn await_write(notify: &mpsc::Receiver<usize>) -> std::io::Result<usize> {
+    notify
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .map_err(|_| std::io::Error::other("server blocked with a reply unwritten"))
+}
+
+/// 256 pipelined OBSERVE frames whose replies are all resolved while the
+/// first write is stuck: the server reads the burst in a handful of
+/// `read` calls and writes the replies in at most one `write` call per 8,
+/// and the bytes it writes are exactly the replies' frames, in order.
+#[test]
+fn pipelined_replies_are_coalesced_into_few_reads_and_writes() {
+    let (d, sessions, seed, queue_depth) = (8, 4u64, 11, 1024);
+    let mut commands: Vec<Command> = (0..sessions)
+        .map(|sid| Command::Open {
+            session_id: sid,
+            spec: MechanismSpec::reg1_l2(d),
+            t_max: 256,
+            params: params(),
+        })
+        .collect();
+    for t in 0..256 {
+        let sid = t as u64 % sessions;
+        commands.push(Command::Observe { session_id: sid, point: point(d, t, sid) });
+    }
+    let request = request_bytes(&commands);
+
+    let handle = EngineHandle::new(IngressConfig { num_shards: 2, seed, queue_depth }).unwrap();
+    let (eof_tx, eof_rx) = mpsc::channel();
+    let (gate_tx, gate_rx) = mpsc::channel();
+    let mut reader = CountingReader { bytes: &request, reads: 0, at_eof: eof_tx };
+    let mut writer = RecordingWriter { gate: Some(gate_rx), ..RecordingWriter::default() };
+    let stats = std::thread::scope(|s| {
+        let server = s.spawn(|| serve_connection(&handle, &mut reader, &mut writer));
+        // Every command is submitted once the server reads EOF; the
+        // flush barrier returns once all of them have resolved.
+        eof_rx.recv().unwrap();
+        handle.flush();
+        gate_tx.send(()).unwrap();
+        server.join().unwrap().unwrap()
+    });
+    assert_eq!((stats.commands, stats.replies), (commands.len(), commands.len()));
+    handle.close();
+
+    let direct = EngineHandle::new(IngressConfig { num_shards: 2, seed, queue_depth }).unwrap();
+    let mut expected = Vec::new();
+    for cmd in commands.iter().cloned() {
+        expected.extend(encode_reply(&direct_reply(&direct, cmd)).unwrap());
+    }
+    direct.close();
+    assert_eq!(writer.writes.concat(), expected, "written bytes must be the replies, in order");
+    assert!(
+        writer.writes.len() * 8 <= commands.len(),
+        "{} write calls for {} pipelined replies",
+        writer.writes.len(),
+        commands.len()
+    );
+    assert!(
+        reader.reads < commands.len(),
+        "{} read calls for {} pipelined frames",
+        reader.reads,
+        commands.len()
+    );
+}
+
+/// A fast OBSERVE pipelined ahead of a slow OBSERVE_BATCH on the same
+/// shard, both queued for the writer before it reaches the OBSERVE's
+/// reply: the writer must not hold the finished reply while it waits on
+/// the batch's compute, so the two replies leave in different `write`
+/// calls, the OBSERVE's first.
+#[test]
+fn a_finished_reply_is_written_before_waiting_on_a_slow_one() {
+    /// Reads out the OPEN frame; then, once the writer is inside its
+    /// first `write` (the OPEN's reply), the OBSERVE and batch frames;
+    /// then EOF, which opens the writer's gate.
+    struct TwoParts<'a> {
+        open: &'a [u8],
+        rest: &'a [u8],
+        first_write: Option<mpsc::Receiver<usize>>,
+        gate: Option<mpsc::Sender<()>>,
+    }
+    impl Read for TwoParts<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.open.is_empty() {
+                return self.open.read(buf);
+            }
+            if let Some(first_write) = self.first_write.take() {
+                // On failure, dropping the gate's sender opens it.
+                await_write(&first_write).inspect_err(|_| self.gate = None)?;
+            }
+            let n = self.rest.read(buf)?;
+            if n == 0 {
+                if let Some(gate) = self.gate.take() {
+                    gate.send(()).unwrap();
+                }
+            }
+            Ok(n)
+        }
+    }
+
+    let (d, batch) = (8, 2048);
+    let open = request_bytes(&[Command::Open {
+        session_id: 1,
+        spec: MechanismSpec::reg1_l2(d),
+        t_max: batch + 1,
+        params: params(),
+    }]);
+    let rest = request_bytes(&[
+        Command::Observe { session_id: 1, point: point(d, 0, 1) },
+        Command::ObserveBatch {
+            session_id: 1,
+            points: (1..=batch).map(|t| point(d, t, 1)).collect(),
+        },
+    ]);
+    let (started_tx, started_rx) = mpsc::channel();
+    let (gate_tx, gate_rx) = mpsc::channel();
+    let mut reader =
+        TwoParts { open: &open, rest: &rest, first_write: Some(started_rx), gate: Some(gate_tx) };
+    let mut writer = RecordingWriter {
+        notify: Some(started_tx),
+        gate: Some(gate_rx),
+        ..RecordingWriter::default()
+    };
+    let handle =
+        EngineHandle::new(IngressConfig { num_shards: 1, seed: 3, queue_depth: 4096 }).unwrap();
+    serve_connection(&handle, &mut reader, &mut writer).unwrap();
+    handle.close();
+
+    let write_of = |want: fn(&Reply) -> bool| {
+        writer.writes.iter().position(|w| replies_in(w).iter().any(want)).unwrap()
+    };
+    assert_eq!(write_of(|r| matches!(r, Reply::Opened { .. })), 0);
+    let observe = write_of(|r| matches!(r, Reply::Releases { thetas, .. } if thetas.len() == 1));
+    let slow = write_of(|r| matches!(r, Reply::Releases { thetas, .. } if thetas.len() > 1));
+    assert!(observe < slow, "observe reply in write {observe}, batch reply in write {slow}");
+}
+
+/// A depth-1 client: the next frame is sent only once the previous
+/// reply has arrived. The server must write each reply before it blocks
+/// reading the next frame, so each reply gets its own `write` call.
+#[test]
+fn at_depth_one_every_reply_is_written_before_the_next_read() {
+    /// Sends the server one frame at a time, and the next frame only
+    /// once the server has written the previous frame's reply.
+    struct Lockstep {
+        frames: std::vec::IntoIter<Vec<u8>>,
+        frame: std::io::Cursor<Vec<u8>>,
+        owed: usize,
+        written: mpsc::Receiver<usize>,
+    }
+    impl Read for Lockstep {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.frame.position() as usize == self.frame.get_ref().len() {
+                while self.owed > 0 {
+                    self.owed -= await_write(&self.written)?;
+                }
+                let Some(next) = self.frames.next() else { return Ok(0) };
+                self.frame = std::io::Cursor::new(next);
+                self.owed = 1;
+            }
+            self.frame.read(buf)
+        }
+    }
+
+    let d = 3;
+    let commands = [
+        Command::Open {
+            session_id: 5,
+            spec: MechanismSpec::reg1_l2(d),
+            t_max: 16,
+            params: params(),
+        },
+        Command::Observe { session_id: 5, point: point(d, 0, 5) },
+        Command::ObserveBatch { session_id: 5, points: (1..4).map(|t| point(d, t, 5)).collect() },
+        Command::Observe { session_id: 6, point: point(d, 0, 6) },
+        Command::Release { session_id: 5 },
+        Command::Close,
+    ];
+    let (tx, rx) = mpsc::channel();
+    let mut reader = Lockstep {
+        frames: commands.iter().map(|c| encode_command(c).unwrap()).collect::<Vec<_>>().into_iter(),
+        frame: std::io::Cursor::default(),
+        owed: 0,
+        written: rx,
+    };
+    let mut writer = RecordingWriter { notify: Some(tx), ..RecordingWriter::default() };
+    let handle =
+        EngineHandle::new(IngressConfig { num_shards: 2, seed: 9, queue_depth: 64 }).unwrap();
+    let stats = serve_connection(&handle, &mut reader, &mut writer).unwrap();
+    handle.close();
+    assert_eq!(stats.replies, commands.len());
+    assert_eq!(writer.writes.len(), commands.len(), "one write call per depth-1 reply");
+    assert!(writer.writes.iter().all(|w| replies_in(w).len() == 1));
 }

@@ -1,13 +1,13 @@
 //! Wire-protocol tests: roundtrips (fuzz-style via the proptest shim),
-//! malformed/truncated frame rejection, the byte-exact worked example
-//! from `docs/PROTOCOL.md`, and the server loop end-to-end over
-//! in-memory streams.
+//! malformed/truncated frame rejection, buffered stream framing, the
+//! byte-exact worked example from `docs/PROTOCOL.md`, and the server
+//! loop end-to-end over in-memory streams.
 
 use pir_core::{PrivIncReg1Config, PrivIncReg2Config, TauRule};
 use pir_dp::PrivacyParams;
 use pir_engine::wire::{
     self, decode_command, decode_reply, encode_command, encode_reply, read_command, read_reply,
-    WireError, HEADER_LEN,
+    FrameReader, WireError, BUFFER_SIZE, HEADER_LEN,
 };
 use pir_engine::{
     serve_connection, Command, EngineError, EngineHandle, IngressConfig, LossSpec, MechanismSpec,
@@ -15,6 +15,7 @@ use pir_engine::{
 };
 use pir_erm::DataPoint;
 use proptest::prelude::*;
+use std::io::Read;
 
 fn params() -> PrivacyParams {
     PrivacyParams::approx(1.0, 1e-6).unwrap()
@@ -186,6 +187,20 @@ fn worked_example_bytes_match_protocol_md() {
     assert_eq!(bytes, expected);
 }
 
+/// `decode_command` of one whole frame, asserted to agree with a
+/// [`FrameReader`] reading the same bytes off a stream.
+fn decode_checked(frame: &[u8]) -> Result<Command, WireError> {
+    let direct = decode_command(frame);
+    match (&direct, FrameReader::new(frame).read_command()) {
+        (Ok(a), Ok(Some(b))) => {
+            assert_eq!(encode_command(a).unwrap(), encode_command(&b).unwrap())
+        }
+        (Err(a), Err(b)) => assert_eq!(a, &b),
+        (a, b) => panic!("decode_command gave {a:?}, FrameReader gave {b:?}"),
+    }
+    direct
+}
+
 #[test]
 fn malformed_frames_are_rejected_distinctly() {
     let valid = encode_command(&Command::Release { session_id: 1 }).unwrap();
@@ -193,30 +208,30 @@ fn malformed_frames_are_rejected_distinctly() {
     // Bad magic.
     let mut bad = valid.clone();
     bad[0] = b'X';
-    assert!(matches!(decode_command(&bad), Err(WireError::BadMagic(_))));
+    assert!(matches!(decode_checked(&bad), Err(WireError::BadMagic(_))));
 
     // Unsupported version.
     let mut bad = valid.clone();
     bad[4] = 2;
-    assert!(matches!(decode_command(&bad), Err(WireError::UnsupportedVersion(2))));
+    assert!(matches!(decode_checked(&bad), Err(WireError::UnsupportedVersion(2))));
 
     // Unknown opcode (and a reply opcode on the command channel).
     let mut bad = valid.clone();
     bad[5] = 0x6E;
-    assert!(matches!(decode_command(&bad), Err(WireError::UnknownOpcode(0x6E))));
+    assert!(matches!(decode_checked(&bad), Err(WireError::UnknownOpcode(0x6E))));
     let reply_frame = encode_reply(&Reply::Closed).unwrap();
-    assert!(matches!(decode_command(&reply_frame), Err(WireError::UnknownOpcode(0x85))));
+    assert!(matches!(decode_checked(&reply_frame), Err(WireError::UnknownOpcode(0x85))));
 
     // Non-zero reserved bytes.
     let mut bad = valid.clone();
     bad[6] = 1;
-    assert!(matches!(decode_command(&bad), Err(WireError::NonZeroReserved(1))));
+    assert!(matches!(decode_checked(&bad), Err(WireError::NonZeroReserved(1))));
 
     // Length field pointing past the payload cap.
     let mut bad = valid.clone();
     bad[8..12].copy_from_slice(&(wire::MAX_PAYLOAD + 1).to_le_bytes());
     assert!(matches!(
-        decode_command(&bad),
+        decode_checked(&bad),
         Err(WireError::FrameTooLarge { len }) if len == wire::MAX_PAYLOAD + 1
     ));
 
@@ -224,7 +239,7 @@ fn malformed_frames_are_rejected_distinctly() {
     let mut bad = valid.clone();
     bad.push(0xAB);
     bad[8..12].copy_from_slice(&9u32.to_le_bytes());
-    assert!(matches!(decode_command(&bad), Err(WireError::TrailingBytes { extra: 1 })));
+    assert!(matches!(decode_checked(&bad), Err(WireError::TrailingBytes { extra: 1 })));
 
     // Bad tag inside a structurally complete payload.
     let open = encode_command(&Command::Open {
@@ -237,13 +252,13 @@ fn malformed_frames_are_rejected_distinctly() {
     let mut bad = open.clone();
     let spec_tag_offset = HEADER_LEN + 8 + 8 + 16; // sid + t_max + params
     bad[spec_tag_offset] = 9;
-    assert!(matches!(decode_command(&bad), Err(WireError::Malformed(_))));
+    assert!(matches!(decode_checked(&bad), Err(WireError::Malformed(_))));
 
     // Invalid privacy parameters are a payload error, not a panic.
     let mut bad = open;
     let eps_offset = HEADER_LEN + 16;
     bad[eps_offset..eps_offset + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
-    assert!(matches!(decode_command(&bad), Err(WireError::Malformed(_))));
+    assert!(matches!(decode_checked(&bad), Err(WireError::Malformed(_))));
 }
 
 #[test]
@@ -295,6 +310,107 @@ fn hostile_element_counts_cannot_force_huge_allocations() {
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
     assert!(matches!(decode_command(&frame), Err(WireError::Truncated { .. })));
+}
+
+/// A stream that hands out its bytes a few at a time, cycling through
+/// `chunks` for the size of each `read`.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    chunks: &'a [usize],
+    reads: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.chunks[self.reads % self.chunks.len()];
+        self.reads += 1;
+        let n = chunk.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Command frames on both sides of the read buffer's size, with an
+/// OBSERVE_BATCH frame of more than 64 KiB between small ones.
+fn mixed_frames() -> Vec<Vec<u8>> {
+    let pt = |i: usize| DataPoint::new(vec![i as f64 / 2048.0; 8], 0.5);
+    let commands = [
+        Command::Open {
+            session_id: 1,
+            spec: MechanismSpec::reg1_l2(8),
+            t_max: 4096,
+            params: params(),
+        },
+        Command::Observe { session_id: 1, point: pt(0) },
+        Command::ObserveBatch { session_id: 1, points: (0..1200).map(pt).collect() },
+        Command::Observe { session_id: 1, point: pt(1) },
+        Command::Release { session_id: 1 },
+        Command::Close,
+    ];
+    let frames: Vec<Vec<u8>> = commands.iter().map(|c| encode_command(c).unwrap()).collect();
+    assert!(frames.iter().any(|f| f.len() > 64 << 10) && frames.iter().any(|f| f.len() < 64));
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A `FrameReader` decodes every frame to what `decode_command` makes
+    /// of it — whether the stream delivers everything at once or 1-7
+    /// bytes per `read`, and for frames larger than its read buffer.
+    #[test]
+    fn frame_reader_decodes_like_decode_command(chunks in prop::collection::vec(1usize..8, 1..16)) {
+        let frames = mixed_frames();
+        let stream = frames.concat();
+        let mut whole = FrameReader::new(&stream[..]);
+        let mut trickled = FrameReader::new(Trickle { bytes: &stream, chunks: &chunks, reads: 0 });
+        for frame in &frames {
+            let want = encode_command(&decode_command(frame).unwrap()).unwrap();
+            let got = whole.read_command().unwrap().unwrap();
+            prop_assert_eq!(&encode_command(&got).unwrap(), &want);
+            let got = trickled.read_command().unwrap().unwrap();
+            prop_assert_eq!(&encode_command(&got).unwrap(), &want);
+        }
+        prop_assert!(whole.read_command().unwrap().is_none());
+        prop_assert!(trickled.read_command().unwrap().is_none());
+    }
+}
+
+/// EOF inside a frame — in its header, at the header's end, in its
+/// payload, past the read buffer's size — is `Truncated` after every
+/// whole frame before it decodes; EOF between frames is a clean `None`.
+#[test]
+fn frame_reader_reports_mid_frame_eof_as_truncated() {
+    let frames = mixed_frames();
+    let stream = frames.concat();
+    let mut start = 0;
+    for (whole, frame) in frames.iter().enumerate() {
+        let cuts =
+            [1, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 1, BUFFER_SIZE + 3, frame.len() - 1];
+        for cut in cuts.into_iter().filter(|&c| c < frame.len()) {
+            let prefix = &stream[..start + cut];
+            let mut readers = [
+                FrameReader::new(Trickle { bytes: prefix, chunks: &[usize::MAX], reads: 0 }),
+                FrameReader::new(Trickle { bytes: prefix, chunks: &[3, 7, 1], reads: 0 }),
+            ];
+            for r in &mut readers {
+                for _ in 0..whole {
+                    assert!(r.read_command().unwrap().is_some());
+                }
+                match r.read_command() {
+                    Err(WireError::Truncated { .. }) => {}
+                    other => panic!("EOF {cut} bytes into frame {whole} gave {other:?}"),
+                }
+            }
+        }
+        start += frame.len();
+        let mut r = FrameReader::new(&stream[..start]);
+        for _ in 0..=whole {
+            assert!(r.read_command().unwrap().is_some());
+        }
+        assert!(r.read_command().unwrap().is_none(), "EOF after frame {whole} is clean");
+    }
 }
 
 #[test]
