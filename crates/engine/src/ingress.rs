@@ -112,11 +112,11 @@ use crate::sync::lock_or_recover;
 use crate::wal::{self, CheckpointPolicy, CheckpointReport, RecoveryReport, WalOptions, WalWriter};
 use pir_dp::PrivacyParams;
 use pir_erm::DataPoint;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -700,30 +700,249 @@ impl Reply {
 /// A claim on one command's eventual [`Reply`].
 #[derive(Debug)]
 pub struct Ticket {
-    rx: Receiver<Reply>,
+    /// A queue of one slot, already hung up: once its reply is taken the
+    /// queue reads as finished, which [`try_wait`](Self::try_wait) reports
+    /// as [`EngineError::Closed`].
+    queue: Arc<ReplyQueue>,
 }
 
 impl Ticket {
+    /// A ticket whose reply is still to come, and the slot that delivers
+    /// it.
+    fn pending() -> (Self, ReplySlot) {
+        let queue = Arc::new(ReplyQueue::with_last(None));
+        let slot = ReplySlot { queue: Arc::clone(&queue), seq: 0, filled: false };
+        (Ticket { queue }, slot)
+    }
+
     /// A ticket that is already resolved to `reply`.
     fn resolved(reply: Reply) -> Self {
-        let (tx, rx) = mpsc::channel();
-        let _ = tx.send(reply);
-        Ticket { rx }
+        Ticket { queue: Arc::new(ReplyQueue::with_last(Some(reply))) }
     }
 
     /// Block until the reply arrives. If the engine shut down before
     /// answering, the reply is [`Reply::Err`]\([`EngineError::Closed`]).
     pub fn wait(self) -> Reply {
-        self.rx.recv().unwrap_or(Reply::Err(EngineError::Closed))
+        match self.queue.pop(true) {
+            Next::Reply(reply) => reply,
+            Next::Pending | Next::Done => Reply::Err(EngineError::Closed),
+        }
     }
 
     /// Non-blocking poll: `Some(reply)` once the reply is in, `None`
     /// while the command is still queued or computing.
     pub fn try_wait(&self) -> Option<Reply> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Reply::Err(EngineError::Closed)),
+        match self.queue.pop(false) {
+            Next::Reply(reply) => Some(reply),
+            Next::Pending => None,
+            Next::Done => Some(Reply::Err(EngineError::Closed)),
+        }
+    }
+}
+
+/// Replies in command order: one producer pushes a slot per command,
+/// whoever computes a command fills its slot through a [`ReplySlot`],
+/// and one consumer pops replies off the head as they fill.
+///
+/// A [`Ticket`] is a queue of one slot. A served connection keeps one
+/// queue for all its commands (see [`crate::server`]): the reader pushes,
+/// the shard workers fill, the reply writer pops and reports what it has
+/// written through [`delivered`](Self::delivered), and the reader waits
+/// in [`wait_for_room`](Self::wait_for_room) while too many replies are
+/// owed. No lock is held across a fill's compute or the consumer's I/O.
+#[derive(Debug, Default)]
+pub(crate) struct ReplyQueue {
+    state: Mutex<QueueState>,
+    /// The consumer waits here for the head slot to fill, or for the
+    /// producer to hang up.
+    head_filled: Condvar,
+    /// The producer waits here for the backlog to drain, or for the
+    /// consumer to abandon the queue.
+    drained: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct QueueState {
+    /// Pushed slots not yet popped, in push order; `None` until filled.
+    slots: VecDeque<Option<Reply>>,
+    /// Slots popped so far: the sequence number of `slots[0]`.
+    popped: u64,
+    /// Popped replies the consumer has not yet reported delivered.
+    undelivered: usize,
+    /// The consumer is parked on `head_filled`.
+    consumer_waiting: bool,
+    /// The producer is parked on `drained` until at most this many
+    /// replies are owed.
+    producer_resumes_at: Option<usize>,
+    /// The producer will push no more slots.
+    hung_up: bool,
+    /// The consumer will pop no more replies.
+    abandoned: bool,
+}
+
+impl QueueState {
+    /// Replies pushed and not yet delivered.
+    fn owed(&self) -> usize {
+        self.slots.len() + self.undelivered
+    }
+
+    /// Whether the consumer is parked and can now make progress.
+    fn consumer_can_go(&self) -> bool {
+        self.consumer_waiting && (matches!(self.slots.front(), Some(Some(_))) || self.hung_up)
+    }
+}
+
+/// What [`ReplyQueue::pop`] found at the head.
+pub(crate) enum Next {
+    /// The head reply, now popped.
+    Reply(Reply),
+    /// The head slot is unfilled, or no slot is pushed yet.
+    Pending,
+    /// The producer hung up and every reply has been popped.
+    Done,
+}
+
+impl ReplyQueue {
+    /// A hung-up queue of one slot: a [`Ticket`]'s.
+    fn with_last(reply: Option<Reply>) -> Self {
+        let state =
+            QueueState { slots: VecDeque::from([reply]), hung_up: true, ..Default::default() };
+        ReplyQueue { state: Mutex::new(state), ..Default::default() }
+    }
+
+    /// Push an unfilled slot; its reply comes through the returned handle.
+    pub(crate) fn push(self: &Arc<Self>) -> ReplySlot {
+        let mut state = lock_or_recover(&self.state);
+        let seq = state.popped + state.slots.len() as u64;
+        state.slots.push_back(None);
+        ReplySlot { queue: Arc::clone(self), seq, filled: false }
+    }
+
+    /// Push a slot that is already filled with `reply`.
+    pub(crate) fn push_ready(&self, reply: Reply) {
+        let mut state = lock_or_recover(&self.state);
+        state.slots.push_back(Some(reply));
+        let wake = state.consumer_can_go();
+        drop(state);
+        if wake {
+            self.head_filled.notify_one();
+        }
+    }
+
+    /// Fill slot `seq`. Wakes the consumer only if it waits and this is
+    /// the head slot.
+    fn fill(&self, seq: u64, reply: Reply) {
+        let mut state = lock_or_recover(&self.state);
+        let Some(index) = seq.checked_sub(state.popped).and_then(|i| usize::try_from(i).ok())
+        else {
+            return;
+        };
+        if let Some(slot) = state.slots.get_mut(index) {
+            *slot = Some(reply);
+        }
+        let wake = index == 0 && state.consumer_can_go();
+        drop(state);
+        if wake {
+            self.head_filled.notify_one();
+        }
+    }
+
+    /// Pop the head reply if it is filled. With `wait`, block until it
+    /// is (or until the producer hangs up with nothing left), so only
+    /// [`Next::Reply`] or [`Next::Done`] come back.
+    pub(crate) fn pop(&self, wait: bool) -> Next {
+        let mut state = lock_or_recover(&self.state);
+        loop {
+            if let Some(Some(_)) = state.slots.front() {
+                let Some(Some(reply)) = state.slots.pop_front() else { return Next::Pending };
+                state.popped += 1;
+                state.undelivered += 1;
+                return Next::Reply(reply);
+            }
+            if state.slots.is_empty() && state.hung_up {
+                return Next::Done;
+            }
+            if !wait {
+                return Next::Pending;
+            }
+            state.consumer_waiting = true;
+            state = self.head_filled.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.consumer_waiting = false;
+        }
+    }
+
+    /// The consumer has delivered `n` more popped replies. Wakes the
+    /// producer once few enough replies are owed for it to resume.
+    pub(crate) fn delivered(&self, n: usize) {
+        let mut state = lock_or_recover(&self.state);
+        state.undelivered = state.undelivered.saturating_sub(n);
+        let wake = state.producer_resumes_at.is_some_and(|resume| state.owed() <= resume);
+        if wake {
+            state.producer_resumes_at = None;
+        }
+        drop(state);
+        if wake {
+            self.drained.notify_one();
+        }
+    }
+
+    /// Before the producer pushes again: once `full` replies are owed,
+    /// block until at most `resume` are. `false` once the consumer has
+    /// abandoned the queue — nothing pushed now would be delivered.
+    pub(crate) fn wait_for_room(&self, full: usize, resume: usize) -> bool {
+        let mut state = lock_or_recover(&self.state);
+        if state.owed() >= full {
+            while state.owed() > resume && !state.abandoned {
+                state.producer_resumes_at = Some(resume);
+                state = self.drained.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+            state.producer_resumes_at = None;
+        }
+        !state.abandoned
+    }
+
+    /// The producer pushes no more slots; the consumer finishes once it
+    /// has popped every reply already pushed.
+    pub(crate) fn hang_up(&self) {
+        let mut state = lock_or_recover(&self.state);
+        state.hung_up = true;
+        let wake = state.consumer_can_go();
+        drop(state);
+        if wake {
+            self.head_filled.notify_one();
+        }
+    }
+
+    /// The consumer pops no more replies: release a producer waiting for
+    /// room, and refuse it room from now on.
+    pub(crate) fn abandon(&self) {
+        lock_or_recover(&self.state).abandoned = true;
+        self.drained.notify_one();
+    }
+}
+
+/// The duty to fill one slot of a [`ReplyQueue`]. A slot dropped
+/// unfilled — its job dropped with a dead shard worker, say — is filled
+/// with [`Reply::Err`]\([`EngineError::Closed`]), so no reply is ever
+/// lost and no consumer waits forever.
+pub(crate) struct ReplySlot {
+    queue: Arc<ReplyQueue>,
+    seq: u64,
+    filled: bool,
+}
+
+impl ReplySlot {
+    /// Deliver the slot's reply.
+    pub(crate) fn fill(mut self, reply: Reply) {
+        self.filled = true;
+        self.queue.fill(self.seq, reply);
+    }
+}
+
+impl Drop for ReplySlot {
+    fn drop(&mut self) {
+        if !self.filled {
+            self.queue.fill(self.seq, Reply::Err(EngineError::Closed));
         }
     }
 }
@@ -738,8 +957,8 @@ type IndexedRelease = (usize, Result<Vec<f64>, EngineError>);
 
 /// What travels down a shard's queue.
 enum Job {
-    /// One wire-level command with its reply channel.
-    Cmd { cmd: Command, cost: usize, reply: Sender<Reply> },
+    /// One wire-level command with the slot its reply goes to.
+    Cmd { cmd: Command, cost: usize, reply: ReplySlot },
     /// The bulk fast path behind [`SubmitHandle::ingest`]: a whole
     /// shard's slice of a mixed-tenant batch in one message.
     Ingest { runs: Vec<SessionRun>, cost: usize, reply: Sender<Vec<IndexedRelease>> },
@@ -971,9 +1190,8 @@ impl SubmitHandle {
     }
 
     /// [`submit`](Self::submit), but a rejected command is handed back to
-    /// the caller alongside the error — so retry loops (the server's
-    /// flow-control path, most prominently) need not clone a potentially
-    /// large batch per attempt.
+    /// the caller alongside the error — so retry loops need not clone a
+    /// potentially large batch per attempt.
     ///
     /// # Errors
     /// As [`submit`](Self::submit), with the unconsumed [`Command`]
@@ -991,36 +1209,8 @@ impl SubmitHandle {
         if let Err(e) = self.reserve(shard, cost) {
             return Err((cmd, e));
         }
-        // Publish the queued command to the spill tier *before* sending
-        // the job: a worker weighing eviction of this session either
-        // sees the entry (and skips the victim) or has not received the
-        // job yet — in which case its arrival restores the session
-        // in-band. Incrementing after the send would reopen the window.
-        if let Some(spill) = &self.spill {
-            spill.pending_add(shard, session_id);
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        match self.lanes[shard].tx.send(Job::Cmd { cmd, cost, reply: reply_tx }) {
-            Ok(()) => Ok(Ticket { rx: reply_rx }),
-            // Worker gone (only possible after a panic or close): roll
-            // the reservation back and surface the shutdown, handing the
-            // command (recovered from the undeliverable job) back.
-            Err(mpsc::SendError(job)) => {
-                self.lanes[shard].depth.fetch_sub(cost, Ordering::SeqCst);
-                if let Some(spill) = &self.spill {
-                    spill.pending_sub(shard, session_id);
-                }
-                let cmd = match job {
-                    Job::Cmd { cmd, .. } => cmd,
-                    // send() hands back the exact value it was given (a
-                    // Job::Cmd, two lines up); if that contract ever
-                    // broke, surface an equivalent rejection instead of
-                    // panicking the submitting connection thread.
-                    _ => Command::Release { session_id },
-                };
-                Err((cmd, EngineError::Closed))
-            }
-        }
+        let (ticket, slot) = Ticket::pending();
+        self.dispatch(shard, session_id, cost, cmd, slot).map(|()| ticket)
     }
 
     /// [`submit`](Self::submit) that waits out *transient* backpressure
@@ -1032,26 +1222,77 @@ impl SubmitHandle {
     /// # Errors
     /// [`EngineError::CommandTooLarge`] (permanent rejections are *not*
     /// waited out) or [`EngineError::Closed`].
-    pub fn submit_blocking(&self, mut cmd: Command) -> Result<Ticket, EngineError> {
-        loop {
-            match self.try_submit(cmd) {
-                Ok(ticket) => return Ok(ticket),
-                Err((_, e)) if !e.is_retryable() => return Err(e),
-                Err((rejected, e)) => {
-                    // Transient: wait for the shard to drain, then retry
-                    // with the handed-back command (no clone per attempt).
-                    // Retryable rejections only come from shard queues,
-                    // and only routed commands reach a queue (`Close`
-                    // resolves before queueing) — but if that invariant
-                    // ever broke, fail the submit rather than panic.
-                    let Some(session_id) = rejected.session_id() else {
-                        return Err(e);
-                    };
-                    self.ride_flush_barrier(self.shard_index(session_id))?;
-                    cmd = rejected;
-                }
-            }
+    pub fn submit_blocking(&self, cmd: Command) -> Result<Ticket, EngineError> {
+        let Some(session_id) = cmd.session_id() else {
+            return Ok(Ticket::resolved(Reply::Closed));
+        };
+        let shard = self.shard_index(session_id);
+        let cost = cmd.cost();
+        self.reserve_blocking(shard, cost)?;
+        let (ticket, slot) = Ticket::pending();
+        self.dispatch(shard, session_id, cost, cmd, slot).map_err(|(_, e)| e)?;
+        Ok(ticket)
+    }
+
+    /// [`submit_blocking`](Self::submit_blocking), but the reply goes to
+    /// the next slot of `replies` instead of a fresh [`Ticket`]: each call
+    /// pushes exactly one slot, and a rejection becomes that slot's
+    /// [`Reply::Err`].
+    pub(crate) fn submit_blocking_into(&self, cmd: Command, replies: &Arc<ReplyQueue>) {
+        let Some(session_id) = cmd.session_id() else {
+            return replies.push_ready(Reply::Closed);
+        };
+        let shard = self.shard_index(session_id);
+        let cost = cmd.cost();
+        match self.reserve_blocking(shard, cost) {
+            // A failed dispatch drops the slot with its job, which fills
+            // it with the same `Closed` the error reports.
+            Ok(()) => drop(self.dispatch(shard, session_id, cost, cmd, replies.push())),
+            Err(e) => replies.push_ready(Reply::Err(e)),
         }
+    }
+
+    /// Send `cmd`, whose `cost` is already reserved on `shard`, with the
+    /// slot its reply goes to.
+    ///
+    /// # Errors
+    /// [`EngineError::Closed`] if the worker is gone (only possible after
+    /// a panic or close): the reservation is rolled back, the command
+    /// (recovered from the undeliverable job) is handed back, and `reply`,
+    /// dropped with the job, is filled with the same error.
+    #[allow(clippy::result_large_err)]
+    fn dispatch(
+        &self,
+        shard: usize,
+        session_id: u64,
+        cost: usize,
+        cmd: Command,
+        reply: ReplySlot,
+    ) -> Result<(), (Command, EngineError)> {
+        // Publish the queued command to the spill tier *before* sending
+        // the job: a worker weighing eviction of this session either
+        // sees the entry (and skips the victim) or has not received the
+        // job yet — in which case its arrival restores the session
+        // in-band. Incrementing after the send would reopen the window.
+        if let Some(spill) = &self.spill {
+            spill.pending_add(shard, session_id);
+        }
+        let Err(mpsc::SendError(job)) = self.lanes[shard].tx.send(Job::Cmd { cmd, cost, reply })
+        else {
+            return Ok(());
+        };
+        self.lanes[shard].depth.fetch_sub(cost, Ordering::SeqCst);
+        if let Some(spill) = &self.spill {
+            spill.pending_sub(shard, session_id);
+        }
+        let cmd = match job {
+            Job::Cmd { cmd, .. } => cmd,
+            // send() hands back the exact value it was given (a Job::Cmd,
+            // above); if that contract ever broke, surface an equivalent
+            // rejection instead of panicking the submitting thread.
+            _ => Command::Release { session_id },
+        };
+        Err((cmd, EngineError::Closed))
     }
 
     /// [`Command::Open`] convenience.
@@ -1865,7 +2106,7 @@ fn worker_loop(
                 };
                 settle_spill(&mut spill, &mut sessions, sid.as_slice());
                 depth.fetch_sub(cost, Ordering::SeqCst);
-                let _ = reply.send(r);
+                reply.fill(r);
             }
             Job::Ingest { runs, cost, reply } => {
                 let touched: Vec<u64> =

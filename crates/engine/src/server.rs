@@ -24,6 +24,16 @@
 //! deeply must read replies concurrently with its writes (or cap its
 //! in-flight points) — see the pipelining note in `docs/PROTOCOL.md`.
 //!
+//! Replies travel through **one in-order queue per connection**. The
+//! reader pushes a slot per command, in command order; the shard worker
+//! that computes a command fills its slot; the writer pops replies off
+//! the head as they fill. The writer is woken only when the head slot it
+//! waits on fills — a reply that finishes behind an unfinished one wakes
+//! no one. When [`REPLY_BACKLOG`] replies are owed, the reader stops
+//! reading frames and resumes only once at most half of that is owed, so
+//! a client that outpaces its replies costs the reader one wait per half
+//! backlog, not one per reply.
+//!
 //! Socket I/O is **coalesced**. Commands are read through a
 //! [`FrameReader`] — a [`BUFFER_SIZE`] read buffer and one reused
 //! payload buffer — so a burst of pipelined frames costs one `read` on
@@ -43,16 +53,17 @@
 //! abort the connection with a [`WireError`], since after one of those
 //! the byte stream can no longer be trusted.
 
-use crate::ingress::{Command, Reply, SubmitHandle, Ticket};
+use crate::ingress::{Command, Next, Reply, ReplyQueue, SubmitHandle};
 use crate::wire::{encode_reply_into, FrameReader, WireError, BUFFER_SIZE};
 use std::io::{Read, Write};
-use std::sync::mpsc::{self, Receiver, TryRecvError};
+use std::sync::Arc;
 
-/// Cap on replies resolved-or-in-flight between the reader and writer
-/// sides of one connection. When a client writes commands without
-/// reading replies, the backlog fills and the server stops reading the
-/// socket — bounding per-connection memory at roughly this many replies
-/// plus the shard queues' own caps.
+/// Cap on replies owed to one connection: pushed by the reader side and
+/// not yet written out by the writer side. When a client writes commands
+/// without reading replies, the backlog fills and the server stops
+/// reading the socket until half of it has drained — bounding
+/// per-connection memory at roughly this many replies plus the shard
+/// queues' own caps.
 ///
 /// Part of the client contract: a client that does not read replies
 /// concurrently with its writes must cap what it keeps in flight at
@@ -70,17 +81,14 @@ pub struct ServeStats {
     pub replies: usize,
 }
 
-/// A reply slot: either still in flight or already known.
-enum Pending {
-    Ticket(Ticket),
-    Now(Reply),
-}
-
 /// Reply frames encoded back to back into one buffer, handed to the
 /// writer in a single `write_all` when the buffer reaches
 /// [`BUFFER_SIZE`] or the server is about to wait.
 struct ReplyBatch<'w, W> {
     writer: &'w mut W,
+    /// Told of every reply handed to the writer, so the reader side can
+    /// resume once the backlog has drained.
+    replies: &'w ReplyQueue,
     bytes: Vec<u8>,
     /// Replies in `bytes`.
     frames: usize,
@@ -111,6 +119,7 @@ impl<W: Write> ReplyBatch<'_, W> {
         self.bytes.shrink_to(BUFFER_SIZE);
         result?;
         self.written += frames;
+        self.replies.delivered(frames);
         Ok(())
     }
 
@@ -123,39 +132,35 @@ impl<W: Write> ReplyBatch<'_, W> {
     }
 }
 
-/// The writer side of one connection: resolve the slots in command
-/// order and batch their replies, writing the batch out whenever the
-/// next step would block — before waiting for the reader side to send
-/// a slot, and before waiting on a head ticket whose compute is still
-/// running (so a finished reply never waits behind a slow one). Returns
-/// once the reader side hangs up.
-fn write_replies<W: Write>(
-    rx: &Receiver<Pending>,
-    out: &mut ReplyBatch<'_, W>,
-) -> Result<(), WireError> {
+/// The writer side of one connection: pop the replies in command order
+/// and batch them, writing the batch out whenever the next step would
+/// block — before waiting for the reader side to push a slot, and before
+/// waiting on a head slot whose compute is still running (so a finished
+/// reply never waits behind a slow one). Returns once the reader side
+/// has hung up and every reply is popped.
+fn write_replies<W: Write>(out: &mut ReplyBatch<'_, W>) -> Result<(), WireError> {
     loop {
-        let slot = match rx.try_recv() {
-            Ok(slot) => slot,
-            Err(TryRecvError::Disconnected) => return Ok(()),
-            Err(TryRecvError::Empty) => {
+        let reply = match out.replies.pop(false) {
+            Next::Reply(reply) => reply,
+            Next::Done => return Ok(()),
+            Next::Pending => {
                 out.flush()?;
-                match rx.recv() {
-                    Ok(slot) => slot,
-                    Err(_) => return Ok(()),
+                match out.replies.pop(true) {
+                    Next::Reply(reply) => reply,
+                    Next::Pending | Next::Done => return Ok(()),
                 }
             }
         };
-        let reply = match slot {
-            Pending::Now(reply) => reply,
-            Pending::Ticket(ticket) => match ticket.try_wait() {
-                Some(reply) => reply,
-                None => {
-                    out.flush()?;
-                    ticket.wait()
-                }
-            },
-        };
         out.push(&reply)?;
+    }
+}
+
+/// Runs its closure when dropped, on return and on unwind alike.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
     }
 }
 
@@ -203,26 +208,35 @@ pub(crate) fn serve_connection_counted<R: Read, W: Write + Send>(
     reader: &mut R,
     writer: &mut W,
 ) -> (ServeStats, Option<WireError>) {
+    let replies = Arc::new(ReplyQueue::default());
     std::thread::scope(|s| {
-        let (tx, rx) = mpsc::sync_channel::<Pending>(REPLY_BACKLOG);
-        let writer_thread = s.spawn(move || -> (usize, Option<WireError>) {
+        let writer_thread = s.spawn(|| -> (usize, Option<WireError>) {
+            // However the writer ends, a reader waiting for the backlog to
+            // drain is released.
+            let _abandon = OnDrop(|| replies.abandon());
             let mut out = ReplyBatch {
                 writer,
+                replies: &replies,
                 bytes: Vec::with_capacity(BUFFER_SIZE),
                 frames: 0,
                 written: 0,
             };
-            let result = write_replies(&rx, &mut out);
+            let result = write_replies(&mut out);
             // Replies batched before an encoding failure still go out
             // (after a failed write the batch is already dropped).
             let tail = out.flush();
             (out.written, result.and(tail).err())
         });
+        // However the reader ends, the writer drains what is owed and
+        // returns.
+        let hang_up = OnDrop(|| replies.hang_up());
 
         let mut frames = FrameReader::new(reader);
         let mut commands = 0usize;
         let mut read_error = None;
-        loop {
+        // Stop reading once the backlog is full. `false` means the writer
+        // side failed; its error is joined below.
+        while replies.wait_for_room(REPLY_BACKLOG, REPLY_BACKLOG / 2) {
             let cmd = match frames.read_command() {
                 Ok(Some(cmd)) => cmd,
                 Ok(None) => break, // clean EOF between frames
@@ -237,24 +251,18 @@ pub(crate) fn serve_connection_counted<R: Read, W: Write + Send>(
             // is waited out (the writer thread keeps replies flowing in
             // the meantime); permanent rejections become in-order error
             // replies rather than a torn connection.
-            let slot = match handle.submit_blocking(cmd) {
-                Ok(ticket) => Pending::Ticket(ticket),
-                Err(e) => Pending::Now(Reply::Err(e)),
-            };
-            if tx.send(slot).is_err() {
-                break; // writer side failed; its error is joined below
-            }
+            handle.submit_blocking_into(cmd, &replies);
             if closing {
                 break;
             }
         }
 
-        // Hang up the reply channel: the writer drains everything still
-        // in flight, in order (after a Close the resolved Closed slot is
-        // last, so the CLOSED frame goes out only after every earlier
-        // reply — the connection-scoped barrier the client observes).
-        drop(tx);
-        let (replies, write_error) = writer_thread.join().unwrap_or_else(|_| {
+        // Hang up: the writer drains everything still in flight, in
+        // order (after a Close the ready Closed slot is last, so the
+        // CLOSED frame goes out only after every earlier reply — the
+        // connection-scoped barrier the client observes).
+        drop(hang_up);
+        let (written, write_error) = writer_thread.join().unwrap_or_else(|_| {
             // A panicked writer tore the connection; report it as a
             // write-side failure instead of propagating the panic into
             // the accept loop.
@@ -262,6 +270,6 @@ pub(crate) fn serve_connection_counted<R: Read, W: Write + Send>(
         });
         // A protocol violation on the read side outranks write-side
         // trouble: after it the inbound stream is untrusted.
-        (ServeStats { commands, replies }, read_error.or(write_error))
+        (ServeStats { commands, replies: written }, read_error.or(write_error))
     })
 }

@@ -6,17 +6,22 @@
 //! holding the `SubmitHandle` directly would get for the same commands.
 //! The loop's use of the stream is pinned too: a pipelined burst costs a
 //! handful of `read` and `write` calls, and every reply is written
-//! before the loop waits — on the client or on a slower reply.
+//! before the loop waits — on the client or on a slower reply. A client
+//! that stops reading replies stalls the loop at the reply backlog, and
+//! a failed reply write releases it.
 
 use pir_dp::PrivacyParams;
-use pir_engine::wire::{encode_command, encode_reply, read_reply, write_command};
+use pir_engine::server::REPLY_BACKLOG;
+use pir_engine::wire::{encode_command, encode_reply, read_reply, write_command, WireError};
 use pir_engine::{
     serve_connection, Command, EngineError, EngineHandle, IngressConfig, MechanismSpec, Reply,
+    ServeStats, SubmitHandle,
 };
 use pir_erm::DataPoint;
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::sync::mpsc;
+use std::time::Duration;
 
 fn params() -> PrivacyParams {
     PrivacyParams::approx(1.0, 1e-6).unwrap()
@@ -464,4 +469,159 @@ fn at_depth_one_every_reply_is_written_before_the_next_read() {
     assert_eq!(stats.replies, commands.len());
     assert_eq!(writer.writes.len(), commands.len(), "one write call per depth-1 reply");
     assert!(writer.writes.iter().all(|w| replies_in(w).len() == 1));
+}
+
+/// Four OPENs, then `3 × REPLY_BACKLOG` OBSERVEs round-robin over them.
+fn backlog_commands() -> Vec<Command> {
+    let (d, sessions) = (3, 4u64);
+    let observes = 3 * REPLY_BACKLOG;
+    let mut commands: Vec<Command> = (0..sessions)
+        .map(|sid| Command::Open {
+            session_id: sid,
+            spec: MechanismSpec::reg1_l2(d),
+            t_max: observes,
+            params: params(),
+        })
+        .collect();
+    for t in 0..observes {
+        let sid = t as u64 % sessions;
+        commands.push(Command::Observe { session_id: sid, point: point(d, t, sid) });
+    }
+    commands
+}
+
+/// Hands the server one frame per `read` call and reports each frame it
+/// hands out on `taken`.
+struct OneFrameAtATime {
+    frames: std::vec::IntoIter<Vec<u8>>,
+    frame: std::io::Cursor<Vec<u8>>,
+    taken: mpsc::Sender<()>,
+}
+
+impl OneFrameAtATime {
+    fn new(commands: &[Command], taken: mpsc::Sender<()>) -> Self {
+        let frames: Vec<Vec<u8>> = commands.iter().map(|c| encode_command(c).unwrap()).collect();
+        OneFrameAtATime { frames: frames.into_iter(), frame: Default::default(), taken }
+    }
+}
+
+impl Read for OneFrameAtATime {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.frame.position() as usize == self.frame.get_ref().len() {
+            let Some(next) = self.frames.next() else { return Ok(0) };
+            self.frame = std::io::Cursor::new(next);
+            let _ = self.taken.send(());
+        }
+        self.frame.read(buf)
+    }
+}
+
+/// How long a server may take before the test calls it hung.
+const HANG: Duration = Duration::from_secs(60);
+
+/// Runs `serve_connection` on a detached thread, so that a server that
+/// never returns — a lost wake-up — fails the test after [`HANG`]
+/// instead of hanging it.
+fn serve_detached<R, W>(
+    submit: SubmitHandle,
+    mut reader: R,
+    mut writer: W,
+) -> mpsc::Receiver<(Result<ServeStats, WireError>, R, W)>
+where
+    R: Read + Send + 'static,
+    W: Write + Send + 'static,
+{
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let result = serve_connection(&submit, &mut reader, &mut writer);
+        let _ = done_tx.send((result, reader, writer));
+    });
+    done_rx
+}
+
+/// Counts the frames reported on `taken` until the server stops taking
+/// them: at least `REPLY_BACKLOG`, then none for half a second.
+fn frames_taken_until_stalled(taken: &mpsc::Receiver<()>) -> usize {
+    for n in 0..REPLY_BACKLOG {
+        taken.recv_timeout(HANG).unwrap_or_else(|_| panic!("server stalled after {n} frames"));
+    }
+    REPLY_BACKLOG
+        + std::iter::from_fn(|| taken.recv_timeout(Duration::from_millis(500)).ok()).count()
+}
+
+/// A client that pipelines `3 × REPLY_BACKLOG` OBSERVE frames and reads
+/// no reply: while its replies cannot be written the server takes at
+/// most `REPLY_BACKLOG + 1` frames, and once they can, every reply
+/// arrives in order and equals a direct submit.
+#[test]
+fn the_reply_backlog_bounds_a_client_that_stops_reading() {
+    let commands = backlog_commands();
+    let config = IngressConfig { num_shards: 2, seed: 17, queue_depth: 256 };
+    let handle = EngineHandle::new(config).unwrap();
+    let (taken_tx, taken_rx) = mpsc::channel();
+    let (gate_tx, gate_rx) = mpsc::channel();
+    let reader = OneFrameAtATime::new(&commands, taken_tx);
+    let writer = RecordingWriter { gate: Some(gate_rx), ..RecordingWriter::default() };
+    let server = serve_detached(handle.submit_handle(), reader, writer);
+
+    let taken = frames_taken_until_stalled(&taken_rx);
+    gate_tx.send(()).unwrap();
+    let (result, _, writer) = server.recv_timeout(HANG).expect("serve_connection hung");
+    assert!(taken <= REPLY_BACKLOG + 1, "took {taken} frames with no reply written");
+    let stats = result.unwrap();
+    assert_eq!((stats.commands, stats.replies), (commands.len(), commands.len()));
+    handle.close();
+
+    let direct = EngineHandle::new(config).unwrap();
+    let mut expected = Vec::new();
+    for cmd in commands {
+        expected.extend(encode_reply(&direct_reply(&direct, cmd)).unwrap());
+    }
+    direct.close();
+    assert_eq!(writer.writes.concat(), expected, "replies must match direct submits, in order");
+}
+
+/// A reply sink whose every `write` fails, as a socket whose peer has
+/// gone does; its first call first waits for `gate`.
+struct BrokenPipe {
+    gate: Option<mpsc::Receiver<()>>,
+}
+
+impl Write for BrokenPipe {
+    fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+        if let Some(gate) = self.gate.take() {
+            let _ = gate.recv();
+        }
+        Err(std::io::ErrorKind::BrokenPipe.into())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The reader stalls on a full reply backlog, then the reply write
+/// fails: the server must stop reading and return the write's error,
+/// not wait for a drain that can no longer happen.
+#[test]
+fn a_failed_reply_write_releases_a_stalled_reader() {
+    let commands = backlog_commands();
+    let handle =
+        EngineHandle::new(IngressConfig { num_shards: 2, seed: 5, queue_depth: 256 }).unwrap();
+    let (taken_tx, taken_rx) = mpsc::channel();
+    let (gate_tx, gate_rx) = mpsc::channel();
+    let reader = OneFrameAtATime::new(&commands, taken_tx);
+    let server = serve_detached(handle.submit_handle(), reader, BrokenPipe { gate: Some(gate_rx) });
+
+    let taken = frames_taken_until_stalled(&taken_rx);
+    gate_tx.send(()).unwrap();
+    let (result, reader, _) = server.recv_timeout(HANG).expect("serve_connection hung");
+    assert!(matches!(result, Err(WireError::Io(_))), "{result:?}");
+    let unread = reader.frames.len();
+    assert!(
+        unread > 0,
+        "read all {} frames after the write failed (stalled at {taken})",
+        commands.len()
+    );
+    handle.close();
 }
