@@ -39,16 +39,17 @@
 //! Determinism survives the pipeline — and survives concurrent
 //! submitters, provided they drive **disjoint sessions**: commands for
 //! one session always route to the same shard queue (FIFO), so a
-//! session's points are consumed in submission order, and its noise
-//! stream still derives from `(engine seed, session id)` alone. The
-//! release sequences are therefore bit-for-bit identical to driving
-//! [`ShardedEngine`](crate::ShardedEngine) directly — under any shard
-//! count and any thread interleaving of other sessions' traffic — which
-//! is property-tested in `tests/ingress.rs` and, over real sockets, in
-//! `tests/tcp.rs`. (Two threads feeding the *same* session race for
-//! queue positions; the engine stays coherent, but which interleaving
-//! they get is scheduling-dependent — give concurrent feeders disjoint
-//! sessions.)
+//! session's points are consumed in submission order, its noise stream
+//! still derives from `(engine seed, session id)` alone, and every
+//! worker executes commands through the same shard executor as the
+//! direct engine. The release sequences are therefore bit-for-bit
+//! identical to driving [`ShardedEngine`](crate::ShardedEngine)
+//! directly — under any shard count and any thread interleaving of
+//! other sessions' traffic — which is property-tested in
+//! `tests/ingress.rs` and, over real sockets, in `tests/tcp.rs`. (Two
+//! threads feeding the *same* session race for queue positions; the
+//! engine stays coherent, but which interleaving they get is
+//! scheduling-dependent — give concurrent feeders disjoint sessions.)
 //!
 //! # Examples
 //!
@@ -106,6 +107,7 @@
 use crate::engine::{entropy_seed, shard_of};
 use crate::error::EngineError;
 use crate::session::StreamSession;
+use crate::shard::{in_input_order, stage_ingest, IndexedRelease, IngestSlice, Shard};
 use crate::spec::MechanismSpec;
 use crate::storage::StorageHandle;
 use crate::sync::lock_or_recover;
@@ -947,21 +949,13 @@ impl Drop for ReplySlot {
     }
 }
 
-/// One session's slice of an ingest batch: `(session id, original input
-/// indices, points in arrival order)` — same grouping as
-/// [`ShardedEngine::ingest`](crate::ShardedEngine::ingest).
-type SessionRun = (u64, Vec<usize>, Vec<DataPoint>);
-
-/// An ingest result tagged with the input index it answers.
-type IndexedRelease = (usize, Result<Vec<f64>, EngineError>);
-
 /// What travels down a shard's queue.
 enum Job {
     /// One wire-level command with the slot its reply goes to.
     Cmd { cmd: Command, cost: usize, reply: ReplySlot },
     /// The bulk fast path behind [`SubmitHandle::ingest`]: a whole
     /// shard's slice of a mixed-tenant batch in one message.
-    Ingest { runs: Vec<SessionRun>, cost: usize, reply: Sender<Vec<IndexedRelease>> },
+    Ingest { slice: IngestSlice, cost: usize, reply: Sender<Vec<IndexedRelease>> },
     /// Barrier: acknowledge once everything before this job is done.
     Flush { ack: Sender<()> },
     /// Live checkpoint: snapshot every session this shard owns and cut
@@ -1338,9 +1332,10 @@ impl SubmitHandle {
     }
 
     /// Drive a mixed batch of arrivals across many sessions — the bulk
-    /// fast path, drop-in equivalent to
-    /// [`ShardedEngine::ingest`](crate::ShardedEngine::ingest) (the
-    /// release sequences are identical; see `tests/ingress.rs`).
+    /// fast path. It groups arrivals and executes each run exactly as
+    /// [`ShardedEngine::ingest`](crate::ShardedEngine::ingest) does (the
+    /// same staging and the same shard executor), so the release
+    /// sequences are identical; see `tests/ingress.rs`.
     ///
     /// Points are grouped per session (preserving each session's arrival
     /// order) and each shard's slice travels as **one** queue message, so
@@ -1359,84 +1354,39 @@ impl SubmitHandle {
     /// consult the per-index results before replaying anything.
     pub fn ingest(&self, points: Vec<(u64, DataPoint)>) -> Vec<Result<Vec<f64>, EngineError>> {
         let n = points.len();
-        let num_shards = self.lanes.len();
-        // Group per shard, then per session, preserving arrival order —
-        // the exact grouping of `ShardedEngine::ingest`.
-        let mut per_shard: Vec<Vec<SessionRun>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut slot: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (i, (sid, z)) in points.into_iter().enumerate() {
-            let shard = self.shard_index(sid);
-            let (s, g) = *slot.entry(sid).or_insert_with(|| {
-                per_shard[shard].push((sid, Vec::new(), Vec::new()));
-                (shard, per_shard[shard].len() - 1)
-            });
-            per_shard[s][g].1.push(i);
-            per_shard[s][g].2.push(z);
-        }
-
-        let mut results: Vec<Option<Result<Vec<f64>, EngineError>>> =
-            (0..n).map(|_| None).collect();
-        let mut pending: Vec<(Vec<usize>, Receiver<Vec<IndexedRelease>>)> = Vec::new();
-        for (shard, runs) in per_shard.into_iter().enumerate() {
-            if runs.is_empty() {
-                continue;
-            }
-            let cost: usize = runs.iter().map(|(_, _, b)| b.len()).sum::<usize>().max(1);
-            let all_indices: Vec<usize> =
-                runs.iter().flat_map(|(_, idx, _)| idx.iter().copied()).collect();
+        let mut answered = Vec::new();
+        let mut replies = Vec::new();
+        for (shard, slice) in stage_ingest(points, self.lanes.len()) {
+            let cost = slice.cost();
             if let Err(e) = self.reserve_blocking(shard, cost) {
                 // Permanent rejection (slice can never fit) or a dead
                 // worker: report it on every affected index.
-                for i in all_indices {
-                    results[i] = Some(Err(e.clone()));
-                }
+                slice.fail(&e, &mut answered);
                 continue;
             }
-            // Same pre-send publication as `try_submit`: every session
+            // Same pre-send publication as `dispatch`: every session
             // this slice touches is pinned resident until its run
             // executes.
             if let Some(spill) = &self.spill {
-                let mut map = lock_or_recover(&spill.pending[shard]);
-                for (sid, _, _) in &runs {
-                    *map.entry(*sid).or_insert(0) += 1;
-                }
+                slice.session_ids().for_each(|sid| spill.pending_add(shard, sid));
             }
-            let run_sids: Vec<u64> =
-                if self.spill.is_some() { runs.iter().map(|r| r.0).collect() } else { Vec::new() };
             let (tx, rx) = mpsc::channel();
-            if self.lanes[shard].tx.send(Job::Ingest { runs, cost, reply: tx }).is_err() {
-                self.lanes[shard].depth.fetch_sub(cost, Ordering::SeqCst);
-                if let Some(spill) = &self.spill {
-                    for sid in run_sids {
-                        spill.pending_sub(shard, sid);
-                    }
-                }
-                for i in all_indices {
-                    results[i] = Some(Err(EngineError::Closed));
-                }
-                continue;
-            }
-            pending.push((all_indices, rx));
-        }
-        for (all_indices, rx) in pending {
-            match rx.recv() {
-                Ok(parts) => {
-                    for (i, r) in parts {
-                        results[i] = Some(r);
-                    }
-                }
-                Err(_) => {
-                    for i in all_indices {
-                        results[i] = Some(Err(EngineError::Closed));
+            match self.lanes[shard].tx.send(Job::Ingest { slice, cost, reply: tx }) {
+                Ok(()) => replies.push(rx),
+                // A dead worker: roll back as `dispatch` does. The
+                // slice's indices stay unanswered, which reports Closed.
+                Err(mpsc::SendError(job)) => {
+                    self.lanes[shard].depth.fetch_sub(cost, Ordering::SeqCst);
+                    if let (Some(spill), Job::Ingest { slice, .. }) = (&self.spill, &job) {
+                        slice.session_ids().for_each(|sid| spill.pending_sub(shard, sid));
                     }
                 }
             }
         }
-        // Every index was filled by exactly one of the arms above; a
-        // hole would mean the routing bookkeeping dropped an input, and
-        // the honest answer for that input is a closed-engine error, not
-        // a panic on the submitting thread.
-        results.into_iter().map(|r| r.unwrap_or(Err(EngineError::Closed))).collect()
+        // A worker that dies mid-job drops its reply sender: its indices
+        // stay unanswered too.
+        let executed = replies.into_iter().filter_map(|rx| rx.recv().ok()).flatten();
+        in_input_order(n, answered.into_iter().chain(executed))
     }
 
     /// Fleet-wide barrier: returns once every command submitted (by *any*
@@ -1517,7 +1467,7 @@ impl EngineHandle {
     /// `queue_depth == 0`.
     pub fn new(config: IngressConfig) -> Result<Self, EngineError> {
         validate_config(&config)?;
-        let states = (0..config.num_shards).map(|_| (HashMap::new(), None)).collect();
+        let states = (0..config.num_shards).map(|_| (Shard::new(config.seed), None)).collect();
         Ok(EngineHandle::spawn_workers(config, states, None, None, None))
     }
 
@@ -1536,7 +1486,7 @@ impl EngineHandle {
     pub fn with_spill(config: IngressConfig, spill: &SpillOptions) -> Result<Self, EngineError> {
         validate_config(&config)?;
         let shared = prepare_spill(&config, spill)?;
-        let states = (0..config.num_shards).map(|_| (HashMap::new(), None)).collect();
+        let states = (0..config.num_shards).map(|_| (Shard::new(config.seed), None)).collect();
         Ok(EngineHandle::spawn_workers(config, states, Some((spill.clone(), shared)), None, None))
     }
 
@@ -1556,6 +1506,7 @@ impl EngineHandle {
     /// fails this constructor loudly — no workers are spawned and
     /// nothing is replayed into a live engine.
     ///
+    /// Replay runs the same routine as [`wal::recover`].
     /// Commands that re-fail deterministically during replay (a
     /// duplicate open, an over-horizon observe) are counted in
     /// [`RecoveryReport::failed`], exactly mirroring the error replies
@@ -1603,31 +1554,14 @@ impl EngineHandle {
         };
         let log = wal::load_log(&options.storage, &options.dir).map_err(wal_engine_err)?;
 
-        // Replay into per-shard session tables under the *current* shard
-        // count, through the same executor the workers run. Checkpointed
-        // sessions come back first — the manifest's snapshots are the
-        // log's compacted prefix, the surviving segments its tail.
+        // Replay under the *current* shard count through the one replay
+        // routine `wal::recover` runs; the replayed shards become the
+        // workers'.
         let n = config.num_shards;
-        let mut maps: Vec<HashMap<u64, StreamSession>> = (0..n).map(|_| HashMap::new()).collect();
-        for blob in &log.snapshots {
-            let session = StreamSession::restore(blob, config.seed)
-                .map_err(|e| EngineError::Wal { reason: format!("checkpoint snapshot: {e}") })?;
-            let sid = session.id();
-            if maps[shard_of(sid, n)].insert(sid, session).is_some() {
-                return Err(EngineError::Wal {
-                    reason: format!("checkpoint manifest restores session {sid:#018x} twice"),
-                });
-            }
-        }
-        let mut failed = 0u64;
-        for cmd in &log.commands {
-            let Some(sid) = cmd.session_id() else { continue };
-            let r = exec_command(&mut maps[shard_of(sid, n)], config.seed, cmd.clone());
-            if matches!(r, Reply::Err(_)) {
-                failed += 1;
-            }
-        }
-        let report = log.report(failed);
+        let engine_config =
+            crate::EngineConfig { num_shards: n, seed: config.seed, parallel: false };
+        let mut engine = crate::ShardedEngine::new(engine_config)?;
+        let report = crate::shard::replay(&mut engine, &log, |_, _| {}).map_err(wal_engine_err)?;
 
         // One writer per (current) shard, all at the next epoch, each
         // continuing its shard's chain where the log left off.
@@ -1644,11 +1578,11 @@ impl EngineHandle {
             max_epoch: Some(epoch),
         };
         let mut states = Vec::with_capacity(n);
-        for (shard, sessions) in maps.into_iter().enumerate() {
-            let (seg_seq, rec_seq) = log.resume_for(shard as u32);
-            let writer = WalWriter::resume(options, shard as u32, epoch, seg_seq, rec_seq)
+        for (index, shard) in engine.into_shards().into_iter().enumerate() {
+            let (seg_seq, rec_seq) = log.resume_for(index as u32);
+            let writer = WalWriter::resume(options, index as u32, epoch, seg_seq, rec_seq)
                 .map_err(wal_engine_err)?;
-            states.push((sessions, Some(writer)));
+            states.push((shard, Some(writer)));
         }
         let wal_shared =
             (Arc::new(WalShared::new(options.auto_checkpoint)), options.failure_policy.degrades());
@@ -1659,26 +1593,25 @@ impl EngineHandle {
     }
 
     /// Bring up one worker per entry of `states`, each owning its
-    /// prebuilt session table, optional log writer, and optional spill
+    /// prebuilt shard, optional log writer, and optional spill
     /// tier — plus, when a [`CheckpointPolicy`](crate::CheckpointPolicy)
     /// is configured, the auto-checkpoint coordinator thread.
     fn spawn_workers(
         config: IngressConfig,
-        states: Vec<(HashMap<u64, StreamSession>, Option<WalWriter>)>,
+        states: Vec<(Shard, Option<WalWriter>)>,
         spill: Option<(SpillOptions, Arc<SpillShared>)>,
         wal_shared: Option<(Arc<WalShared>, bool)>,
         ckpt: Option<CheckpointCtx>,
     ) -> Self {
         let mut lanes = Vec::with_capacity(states.len());
         let mut workers = Vec::with_capacity(states.len());
-        for (shard, (sessions, wal)) in states.into_iter().enumerate() {
+        for (index, (shard, wal)) in states.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<Job>();
             let depth = Arc::new(AtomicUsize::new(0));
             let worker_depth = Arc::clone(&depth);
-            let seed = config.seed;
             let tier = spill
                 .as_ref()
-                .map(|(options, shared)| SpillTier::new(options, shard, Arc::clone(shared)));
+                .map(|(options, shared)| SpillTier::new(options, index, Arc::clone(shared)));
             let shard_wal = match (wal, wal_shared.as_ref()) {
                 (Some(writer), Some((shared, degrades))) => Some(ShardWal {
                     writer: Some(writer),
@@ -1688,7 +1621,7 @@ impl EngineHandle {
                 _ => None,
             };
             workers.push(std::thread::spawn(move || {
-                worker_loop(rx, worker_depth, seed, sessions, shard_wal, tier)
+                worker_loop(rx, worker_depth, shard, shard_wal, tier)
             }));
             lanes.push(Lane { tx, depth });
         }
@@ -1988,12 +1921,11 @@ fn prepare_spill(
 /// spilled it, before the command is logged or executed.
 fn ensure_resident(
     spill: &mut Option<SpillTier>,
-    sessions: &mut HashMap<u64, StreamSession>,
-    engine_seed: u64,
+    shard: &mut Shard,
     session_id: Option<u64>,
 ) -> Result<(), EngineError> {
     match (spill.as_mut(), session_id) {
-        (Some(tier), Some(sid)) => tier.restore_if_spilled(sessions, engine_seed, sid),
+        (Some(tier), Some(sid)) => tier.restore_if_spilled(&mut shard.sessions, shard.seed, sid),
         _ => Ok(()),
     }
 }
@@ -2027,7 +1959,7 @@ fn settle_spill(
 /// log chain. Runs between jobs, so the snapshots agree exactly with
 /// the log position the cut reports.
 fn shard_cut(
-    sessions: &HashMap<u64, StreamSession>,
+    shard: &Shard,
     spill: &Option<SpillTier>,
     wal: &mut Option<ShardWal>,
 ) -> Result<ShardCut, EngineError> {
@@ -2044,13 +1976,8 @@ fn shard_cut(
             reason: "checkpoint unavailable: shard degraded to unlogged ingestion".to_string(),
         });
     };
-    let mut snapshots = Vec::with_capacity(sessions.len());
-    for session in sessions.values() {
-        let blob = session.snapshot().map_err(|e| EngineError::Wal {
-            reason: format!("session {:#018x}: {e}", session.id()),
-        })?;
-        snapshots.push(blob);
-    }
+    let mut snapshots = Vec::with_capacity(shard.sessions.len());
+    shard.snapshot_all(&mut snapshots).map_err(|reason| EngineError::Wal { reason })?;
     if let Some(tier) = spill {
         for &sid in tier.spilled.keys() {
             let path = tier.file(sid);
@@ -2073,8 +2000,7 @@ fn shard_cut(
 fn worker_loop(
     rx: Receiver<Job>,
     depth: Arc<AtomicUsize>,
-    engine_seed: u64,
-    mut sessions: HashMap<u64, StreamSession>,
+    mut shard: Shard,
     mut wal: Option<ShardWal>,
     mut spill: Option<SpillTier>,
 ) {
@@ -2082,13 +2008,13 @@ fn worker_loop(
     // in session-id order (deterministic) and spill down to cap before
     // serving the first command.
     if let Some(tier) = spill.as_mut() {
-        let mut ids: Vec<u64> = sessions.keys().copied().collect();
+        let mut ids: Vec<u64> = shard.sessions.keys().copied().collect();
         ids.sort_unstable();
         for sid in ids {
             tier.touch(sid);
         }
-        tier.enforce_cap(&mut sessions);
-        tier.sync_resident(&sessions);
+        tier.enforce_cap(&mut shard.sessions);
+        tier.sync_resident(&shard.sessions);
     }
     while let Ok(job) = rx.recv() {
         match job {
@@ -2097,47 +2023,38 @@ fn worker_loop(
                 // Cold-start before logging: a command whose session
                 // cannot be restored must not reach the log, or replay
                 // would execute it into state the original run refused.
-                let r = match ensure_resident(&mut spill, &mut sessions, engine_seed, sid) {
-                    Ok(()) => match log_command(&mut wal, &cmd) {
-                        Ok(()) => exec_command(&mut sessions, engine_seed, cmd),
-                        Err(e) => Reply::Err(e),
-                    },
-                    Err(e) => Reply::Err(e),
-                };
-                settle_spill(&mut spill, &mut sessions, sid.as_slice());
+                let r = ensure_resident(&mut spill, &mut shard, sid)
+                    .and_then(|()| wal.as_mut().map_or(Ok(()), |sw| sw.log(1, |w| w.append(&cmd))))
+                    .map_or_else(Reply::Err, |()| shard.apply(&cmd));
+                settle_spill(&mut spill, &mut shard.sessions, sid.as_slice());
                 depth.fetch_sub(cost, Ordering::SeqCst);
                 reply.fill(r);
             }
-            Job::Ingest { runs, cost, reply } => {
+            Job::Ingest { slice, cost, reply } => {
                 let touched: Vec<u64> =
-                    if spill.is_some() { runs.iter().map(|r| r.0).collect() } else { Vec::new() };
+                    if spill.is_some() { slice.session_ids().collect() } else { Vec::new() };
                 // Cold-start every target first; a run whose session
                 // cannot be restored is answered here and excluded from
                 // the logged batch (same reason as the `Cmd` arm).
                 let mut out = Vec::new();
-                let runs = match spill.as_mut() {
-                    None => runs,
-                    Some(tier) => {
-                        let mut keep = Vec::with_capacity(runs.len());
-                        for (sid, indices, batch) in runs {
-                            match tier.restore_if_spilled(&mut sessions, engine_seed, sid) {
-                                Ok(()) => keep.push((sid, indices, batch)),
-                                Err(e) => {
-                                    for i in indices {
-                                        out.push((i, Err(e.clone())));
-                                    }
-                                }
-                            }
-                        }
-                        keep
-                    }
+                let slice = match spill.as_mut() {
+                    None => slice,
+                    Some(tier) => slice.retain(
+                        |sid| tier.restore_if_spilled(&mut shard.sessions, shard.seed, sid),
+                        &mut out,
+                    ),
                 };
-                let mut executed = match wal.as_mut() {
-                    None => run_ingest(&mut sessions, runs),
-                    Some(sw) => run_ingest_logged(&mut sessions, sw, runs),
-                };
-                out.append(&mut executed);
-                settle_spill(&mut spill, &mut sessions, &touched);
+                // Log the whole job with one coalesced append: one write
+                // per segment stretch instead of one per session run. A
+                // failed append leaves the whole job un-executed.
+                let cmds = &slice.cmds;
+                let logged =
+                    wal.as_mut().map_or(Ok(()), |sw| sw.log(cmds.len(), |w| w.append_batch(cmds)));
+                match logged {
+                    Ok(()) => shard.ingest(&slice, &mut out),
+                    Err(e) => slice.fail(&e, &mut out),
+                }
+                settle_spill(&mut spill, &mut shard.sessions, &touched);
                 depth.fetch_sub(cost, Ordering::SeqCst);
                 let _ = reply.send(out);
             }
@@ -2145,7 +2062,7 @@ fn worker_loop(
                 let _ = ack.send(());
             }
             Job::Checkpoint { ack } => {
-                let _ = ack.send(shard_cut(&sessions, &spill, &mut wal));
+                let _ = ack.send(shard_cut(&shard, &spill, &mut wal));
             }
             Job::Shutdown { ack } => {
                 // Clean shutdown: force the log to stable storage
@@ -2157,9 +2074,10 @@ fn worker_loop(
                 let (spilled_sessions, spilled_points) = spill
                     .as_ref()
                     .map_or((0, 0), |t| (t.spilled.len(), t.spilled.values().sum::<usize>()));
-                let points =
-                    sessions.values().map(StreamSession::t).sum::<usize>() + spilled_points;
-                let _ = ack.send((sessions.len() + spilled_sessions, points));
+                let _ = ack.send((
+                    shard.sessions.len() + spilled_sessions,
+                    shard.points() + spilled_points,
+                ));
                 break;
             }
         }
@@ -2183,43 +2101,28 @@ struct ShardWal {
 }
 
 impl ShardWal {
-    /// Log one command (log-before-execute). On a degraded shard this
-    /// counts the command as unlogged and succeeds — the engine keeps
-    /// serving, loudly.
-    fn log(&mut self, cmd: &Command) -> Result<(), EngineError> {
+    /// Log `commands` commands through `append` (log-before-execute):
+    /// one [`WalWriter::append`], or one coalesced
+    /// [`WalWriter::append_batch`]. On a degraded shard this counts the
+    /// commands as unlogged and succeeds — the engine keeps serving,
+    /// loudly.
+    fn log(
+        &mut self,
+        commands: usize,
+        append: impl FnOnce(&mut WalWriter) -> Result<(), wal::WalError>,
+    ) -> Result<(), EngineError> {
         let Some(w) = self.writer.as_mut() else {
-            self.shared.unlogged_commands.fetch_add(1, Ordering::Relaxed);
+            self.shared.unlogged_commands.fetch_add(commands as u64, Ordering::Relaxed);
             return Ok(());
         };
         let before = w.appended_bytes();
-        let outcome = w.append(cmd);
+        let outcome = append(w);
         let retries = w.take_retries();
         let logged = w.appended_bytes() - before;
         self.shared.retries.fetch_add(retries, Ordering::Relaxed);
         match outcome {
             Ok(()) => {
-                self.shared.note_appended(logged, 1);
-                Ok(())
-            }
-            Err(e) => Err(self.exhausted(e)),
-        }
-    }
-
-    /// [`log`](Self::log) for a coalesced ingest batch: one
-    /// [`WalWriter::append_batch`], `cmds.len()` commands accounted.
-    fn log_batch(&mut self, cmds: &[Command]) -> Result<(), EngineError> {
-        let Some(w) = self.writer.as_mut() else {
-            self.shared.unlogged_commands.fetch_add(cmds.len() as u64, Ordering::Relaxed);
-            return Ok(());
-        };
-        let before = w.appended_bytes();
-        let outcome = w.append_batch(cmds);
-        let retries = w.take_retries();
-        let logged = w.appended_bytes() - before;
-        self.shared.retries.fetch_add(retries, Ordering::Relaxed);
-        match outcome {
-            Ok(()) => {
-                self.shared.note_appended(logged, cmds.len() as u64);
+                self.shared.note_appended(logged, commands as u64);
                 Ok(())
             }
             Err(e) => Err(self.exhausted(e)),
@@ -2239,161 +2142,6 @@ impl ShardWal {
         } else {
             EngineError::Wal { reason: e.to_string() }
         }
-    }
-}
-
-/// Append `cmd` to the shard's log, if it has one. An append failure
-/// becomes [`EngineError::Wal`] and the caller must **not** execute the
-/// command.
-fn log_command(wal: &mut Option<ShardWal>, cmd: &Command) -> Result<(), EngineError> {
-    match wal {
-        None => Ok(()),
-        Some(sw) => sw.log(cmd),
-    }
-}
-
-/// Execute one command against a shard's session table.
-fn exec_command(
-    sessions: &mut HashMap<u64, StreamSession>,
-    engine_seed: u64,
-    cmd: Command,
-) -> Reply {
-    match cmd {
-        Command::Open { session_id, spec, t_max, params } => {
-            if sessions.contains_key(&session_id) {
-                return Reply::Err(EngineError::DuplicateSession { id: session_id });
-            }
-            match StreamSession::spawn(session_id, &spec, t_max, &params, engine_seed) {
-                Ok(s) => {
-                    sessions.insert(session_id, s);
-                    Reply::Opened { session_id }
-                }
-                Err(e) => Reply::Err(e),
-            }
-        }
-        Command::Observe { session_id, point } => match sessions.get_mut(&session_id) {
-            None => Reply::Err(EngineError::UnknownSession { id: session_id }),
-            Some(s) => match s.observe(&point) {
-                Ok(theta) => Reply::Releases { session_id, thetas: vec![theta] },
-                Err(e) => Reply::Err(e),
-            },
-        },
-        Command::ObserveBatch { session_id, points } => match sessions.get_mut(&session_id) {
-            None => Reply::Err(EngineError::UnknownSession { id: session_id }),
-            Some(s) => match s.observe_batch(&points) {
-                Ok(thetas) => Reply::Releases { session_id, thetas },
-                Err(e) => Reply::Err(e),
-            },
-        },
-        Command::Release { session_id } => match sessions.remove(&session_id) {
-            None => Reply::Err(EngineError::UnknownSession { id: session_id }),
-            Some(s) => {
-                let (epsilon_spent, delta_spent) = s.accountant().spent();
-                Reply::SessionReleased {
-                    session_id,
-                    points: s.t() as u64,
-                    epsilon_spent,
-                    delta_spent,
-                }
-            }
-        },
-        // `Close` is resolved at the handle (connection-scoped, never
-        // enqueued); a worker only sees it if routed here explicitly in
-        // the future.
-        Command::Close => Reply::Closed,
-    }
-}
-
-/// Drive one shard's slice of a mixed-tenant batch — the same semantics
-/// as the closure inside `ShardedEngine::ingest` (a batch-level failure
-/// is reported on every index of the affected session's group).
-fn run_ingest(
-    sessions: &mut HashMap<u64, StreamSession>,
-    runs: Vec<SessionRun>,
-) -> Vec<IndexedRelease> {
-    let mut out = Vec::new();
-    for (sid, indices, batch) in runs {
-        ingest_run(sessions, sid, indices, &batch, &mut out);
-    }
-    out
-}
-
-/// [`run_ingest`] with log-before-execute: each session run is logged as
-/// one [`Command::ObserveBatch`] record (matching the atomic batch
-/// contract — the unit of queue admission is the unit of durability),
-/// and a run whose append fails is reported as [`EngineError::Wal`] on
-/// every affected index without touching the session.
-fn run_ingest_logged(
-    sessions: &mut HashMap<u64, StreamSession>,
-    wal: &mut ShardWal,
-    runs: Vec<SessionRun>,
-) -> Vec<IndexedRelease> {
-    // Wrap every run by move (no point is cloned) and log the whole job
-    // with one coalesced append — one write syscall per segment stretch
-    // instead of one per session run; this is what keeps the logged
-    // ingest path inside its throughput budget.
-    let mut cmds = Vec::with_capacity(runs.len());
-    let mut run_indices = Vec::with_capacity(runs.len());
-    for (sid, indices, batch) in runs {
-        cmds.push(Command::ObserveBatch { session_id: sid, points: batch });
-        run_indices.push(indices);
-    }
-    let mut out = Vec::new();
-    if let Err(err) = wal.log_batch(&cmds) {
-        // Nothing (or a poisoned prefix) reached the log: the whole job
-        // is un-executed, reported on every affected index.
-        for indices in run_indices {
-            for i in indices {
-                out.push((i, Err(err.clone())));
-            }
-        }
-        return out;
-    }
-    for (cmd, indices) in cmds.into_iter().zip(run_indices) {
-        let Command::ObserveBatch { session_id: sid, points: batch } = cmd else {
-            // Every element of `cmds` was built as ObserveBatch in the
-            // loop above; if that ever changed, fail the affected
-            // indices instead of killing the shard worker.
-            let err = EngineError::Mechanism {
-                reason: "internal: ingest staged a non-batch command".to_string(),
-            };
-            for i in indices {
-                out.push((i, Err(err.clone())));
-            }
-            continue;
-        };
-        ingest_run(sessions, sid, indices, &batch, &mut out);
-    }
-    out
-}
-
-/// Execute one session's run of an ingest batch against a shard's
-/// session table, appending index-tagged results to `out`.
-fn ingest_run(
-    sessions: &mut HashMap<u64, StreamSession>,
-    sid: u64,
-    indices: Vec<usize>,
-    batch: &[DataPoint],
-    out: &mut Vec<IndexedRelease>,
-) {
-    match sessions.get_mut(&sid) {
-        None => {
-            for i in indices {
-                out.push((i, Err(EngineError::UnknownSession { id: sid })));
-            }
-        }
-        Some(session) => match session.observe_batch(batch) {
-            Ok(releases) => {
-                for (i, theta) in indices.into_iter().zip(releases) {
-                    out.push((i, Ok(theta)));
-                }
-            }
-            Err(e) => {
-                for i in indices {
-                    out.push((i, Err(e.clone())));
-                }
-            }
-        },
     }
 }
 

@@ -144,7 +144,6 @@
 
 use crate::engine::ShardedEngine;
 use crate::ingress::{Command, Reply};
-use crate::session::StreamSession;
 use crate::storage::{StorageFile, StorageHandle};
 use crate::wire::{self, WireError};
 use std::collections::BTreeMap;
@@ -948,10 +947,8 @@ pub fn checkpoint_with_storage(
 ) -> Result<CheckpointReport, WalError> {
     let log = load_log(storage, dir)?;
     let mut snapshots = Vec::new();
-    for session in engine.sessions() {
-        snapshots.push(session.snapshot().map_err(|e| WalError::Snapshot {
-            reason: format!("session {:#018x}: {e}", session.id()),
-        })?);
+    for shard in engine.shards() {
+        shard.snapshot_all(&mut snapshots).map_err(|reason| WalError::Snapshot { reason })?;
     }
     let generation = next_generation(log.manifest_generation)?;
     let manifest =
@@ -1478,39 +1475,9 @@ pub fn recover_with_storage(
     storage: &StorageHandle,
     dir: &Path,
     engine: &mut ShardedEngine,
-    mut on_reply: impl FnMut(&Command, &Reply),
+    on_reply: impl FnMut(&Command, &Reply),
 ) -> Result<RecoveryReport, WalError> {
-    let log = load_log(storage, dir)?;
-
-    // Checkpointed sessions come back first — they are the state every
-    // tail command assumes. Restore and cross-check *all* of them before
-    // adopting any, preserving the nothing-applied-on-error contract.
-    let seed = engine.config().seed;
-    let mut restored = Vec::with_capacity(log.snapshots.len());
-    let mut ids = std::collections::HashSet::new();
-    for blob in &log.snapshots {
-        let session = StreamSession::restore(blob, seed)
-            .map_err(|e| WalError::Snapshot { reason: e.to_string() })?;
-        if engine.contains(session.id()) || !ids.insert(session.id()) {
-            return Err(WalError::Snapshot {
-                reason: format!("manifest restores session {:#018x} twice", session.id()),
-            });
-        }
-        restored.push(session);
-    }
-    for session in restored {
-        engine.adopt_session(session).map_err(|e| WalError::Snapshot { reason: e.to_string() })?;
-    }
-
-    let mut failed = 0u64;
-    for cmd in &log.commands {
-        let reply = engine.apply(cmd);
-        if matches!(reply, Reply::Err(_)) {
-            failed += 1;
-        }
-        on_reply(cmd, &reply);
-    }
-    Ok(log.report(failed))
+    crate::shard::replay(engine, &load_log(storage, dir)?, on_reply)
 }
 
 /// Delete every segment file under `dir` — log retention after a clean

@@ -24,8 +24,9 @@ use crate::baseline::{self, Baseline, BaselineError};
 use crate::rules::{durability, hygiene, panic_free, protocol, storage_layer, zero_alloc, Finding};
 
 /// R1 scope: files that run on shard-worker / connection threads.
-pub const R1_FILES: [&str; 8] = [
+pub const R1_FILES: [&str; 9] = [
     "crates/engine/src/ingress.rs",
+    "crates/engine/src/shard.rs",
     "crates/engine/src/wire.rs",
     "crates/engine/src/server.rs",
     "crates/engine/src/tcp.rs",

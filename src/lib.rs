@@ -94,8 +94,8 @@
 //! ```
 //!
 //! The synchronous [`ShardedEngine`](pir_engine::ShardedEngine) behind it
-//! remains available for embedded, single-caller use — the two paths are
-//! release-for-release identical.
+//! remains available for embedded, single-caller use. Both drive the same
+//! shard executor, so they are release-for-release identical.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

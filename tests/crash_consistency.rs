@@ -666,6 +666,42 @@ fn poison_policy_fails_loudly_in_band_and_stays_poisoned() {
     handle.close();
 }
 
+/// A logged ingest job whose append fails executes nowhere: every
+/// index of the job carries the in-band WAL error, and no session's
+/// stream position advances.
+#[test]
+fn failed_ingest_append_fails_every_index_and_advances_nothing() {
+    let seed = 642;
+    let d = 2;
+    let disk = SimDisk::new(61, CrashProfile::DropUnsynced);
+    let options = sim_options(&disk, 64 << 20);
+    let config = IngressConfig { num_shards: 2, seed, queue_depth: 64 };
+    let (handle, _) = EngineHandle::with_wal(config, &options).unwrap();
+    let spec = MechanismSpec::reg1_l2(d);
+    for sid in 1..=4u64 {
+        let reply = handle.open(sid, &spec, 32, &params()).unwrap().wait();
+        assert_eq!(reply, Reply::Opened { session_id: sid });
+    }
+    // Two points per session, interleaved across all four sessions.
+    let batch = |t0: usize| -> Vec<(u64, DataPoint)> {
+        (0..8usize)
+            .map(|i| {
+                let sid = 1 + i as u64 % 4;
+                (sid, point(d, t0 + i / 4, sid))
+            })
+            .collect()
+    };
+    assert!(handle.ingest(batch(0)).iter().all(Result::is_ok), "healthy device");
+
+    disk.fail_from(disk.op_count(), io::ErrorKind::Other);
+    let results = handle.ingest(batch(2));
+    assert_eq!(results.len(), 8);
+    for (i, r) in results.iter().enumerate() {
+        assert!(matches!(r, Err(EngineError::Wal { .. })), "index {i}: {r:?}");
+    }
+    assert_eq!(handle.close().points, 8, "a refused job advances no session");
+}
+
 // ---------------------------------------------------------------------------
 // Auto-checkpoint scheduling
 // ---------------------------------------------------------------------------

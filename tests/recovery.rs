@@ -180,6 +180,14 @@ fn all_fsync_policies_recover_identically_after_a_kill() {
             wal::recover_with(tmp.path(), &mut engine, |_, r| replayed.push(r.clone())).unwrap();
         assert_eq!(report.commands, cmds.len() as u64, "policy {name}");
         assert_eq!(replayed, ref_replies, "policy {name} diverged");
+
+        // The pipelined engine's startup replay counts the same
+        // deterministic re-failures (the stream's duplicate open).
+        let config = IngressConfig { num_shards: 2, seed, queue_depth: 16 };
+        let (handle, piped) = EngineHandle::with_wal(config, &options).unwrap();
+        handle.close();
+        assert_eq!(report.failed, 1, "policy {name}: the duplicate open re-fails");
+        assert_eq!(piped.failed, report.failed, "policy {name}: recovery paths disagree");
     }
 }
 
@@ -465,6 +473,54 @@ fn pipelined_engine_with_wal_restarts_bit_identically_across_a_reshard() {
             .unwrap();
     assert_eq!(report.commands, 0, "a purged log replays nothing");
     handle.close();
+}
+
+/// The logged bulk path: `SubmitHandle::ingest` on a `with_wal` engine
+/// logs every session run as one batch record. After a restart under a
+/// different shard count, replay rebuilds each session, and ingests
+/// before and after the restart release bit-identically to a direct
+/// engine fed the same batches.
+#[test]
+fn logged_ingest_restarts_bit_identically_across_a_reshard() {
+    let seed = 5150;
+    let d = 3;
+    let sessions = 5u64;
+    let spec = MechanismSpec::reg1_l2(d);
+    let tmp = TempDir::new("ingest-e2e");
+    let options = WalOptions { fsync: FsyncPolicy::Off, ..WalOptions::new(tmp.path()) };
+    // Round `r` feeds three points to every session, interleaved.
+    let batch = |r: usize| -> Vec<(u64, DataPoint)> {
+        (0..3 * sessions as usize)
+            .map(|i| {
+                let sid = i as u64 % sessions;
+                (sid, point(d, 3 * r + i / sessions as usize, sid))
+            })
+            .collect()
+    };
+    let mut direct = fresh_engine(1, seed);
+    direct.spawn_sessions(0..sessions, &spec, 32, &params()).unwrap();
+
+    let (handle, _) =
+        EngineHandle::with_wal(IngressConfig { num_shards: 2, seed, queue_depth: 64 }, &options)
+            .unwrap();
+    for sid in 0..sessions {
+        let reply = handle.open(sid, &spec, 32, &params()).unwrap().wait();
+        assert_eq!(reply, Reply::Opened { session_id: sid });
+    }
+    for r in 0..2 {
+        assert_eq!(handle.ingest(batch(r)), direct.ingest(batch(r)), "round {r} diverged");
+    }
+    handle.close();
+
+    let (handle, report) =
+        EngineHandle::with_wal(IngressConfig { num_shards: 3, seed, queue_depth: 64 }, &options)
+            .unwrap();
+    assert_eq!(report.commands, sessions * 3, "one open and two batch records per session");
+    assert_eq!(report.failed, 0);
+    for r in 2..4 {
+        assert_eq!(handle.ingest(batch(r)), direct.ingest(batch(r)), "round {r} diverged");
+    }
+    assert_eq!(handle.close().points, direct.total_points());
 }
 
 /// A torn partial record appended to a shard's chain (the crash
