@@ -390,3 +390,63 @@ fn checkpoint_without_a_wal_is_invalid_config() {
     assert!(matches!(err, EngineError::InvalidConfig { .. }), "got {err:?}");
     handle.close();
 }
+
+// ---------------------------------------------------------------------------
+// Byte layout
+// ---------------------------------------------------------------------------
+
+/// The `PIRC` worked example in `docs/PROTOCOL.md`, byte for byte: the
+/// 164-byte manifest a quiesced checkpoint writes over a one-command log
+/// (one chain, one freshly opened `Trivial` session). The embedded
+/// snapshot is the `PIRS` worked example. If this test moves, the
+/// documentation is lying.
+#[test]
+fn checkpoint_worked_example_matches_protocol_md() {
+    let tmp = TempDir::new("worked-example");
+    let spec = MechanismSpec::Trivial { set: SetSpec::unit_l2(2) };
+    log_and_crash(tmp.path(), &[Command::Open { session_id: 7, spec, t_max: 8, params: params() }]);
+    let mut engine = fresh_engine(1, 7);
+    wal::recover(tmp.path(), &mut engine).unwrap();
+    let report = wal::checkpoint(tmp.path(), &engine).unwrap();
+    assert_eq!((report.generation, report.sessions), (0, 1));
+    let bytes = std::fs::read(tmp.path().join(wal::checkpoint_file_name(0))).unwrap();
+    let snapshot = engine.with_session(7, |s| s.snapshot().unwrap()).unwrap();
+    assert_eq!(bytes[45..160], snapshot[..], "the manifest embeds the session's PIRS blob verbatim");
+    #[rustfmt::skip]
+    let expected: Vec<u8> = vec![
+        // magic "PIRC", version 1, reserved
+        0x50, 0x49, 0x52, 0x43, 0x01, 0x00, 0x00, 0x00,
+        // body length = 148
+        0x94, 0x00, 0x00, 0x00,
+        // generation = 0; epoch flag 1, max epoch = 0
+        0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x00,
+        // chain count = 1: shard 0, next_seg_seq = 1, next_record_seq = 1
+        0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        // snapshot count = 1; snapshot length = 115
+        0x01, 0x00, 0x00, 0x00,
+        0x73, 0x00, 0x00, 0x00,
+        // the PIRS worked example, verbatim
+        0x50, 0x49, 0x52, 0x53, 0x02, 0x00, 0x00, 0x00,
+        0x63, 0x00, 0x00, 0x00,
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0xE5, 0xBA, 0xE3, 0x50, 0xED, 0xE3, 0x27, 0xB9,
+        0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+        0x8D, 0xED, 0xB5, 0xA0, 0xF7, 0xC6, 0xB0, 0x3E,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+        0x8D, 0xED, 0xB5, 0xA0, 0xF7, 0xC6, 0xB0, 0x3E,
+        0x12, 0x00, 0x00, 0x00,
+        0x03, 0x00,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+        0x09, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x14, 0xB7, 0xCC, 0x69,
+        // CRC-32 over bytes 0..160
+        0xFD, 0x23, 0x1E, 0x1F,
+    ];
+    assert_eq!(bytes, expected, "docs/PROTOCOL.md's PIRC worked example is stale");
+}
