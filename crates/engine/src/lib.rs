@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod codec;
 mod engine;
 mod error;
 pub mod ingress;

@@ -45,10 +45,12 @@
 //!     (the pir-core state codec; opaque at this layer)
 //! ```
 //!
-//! Decoding is strict, in the same discipline as the WAL codec: magic,
-//! version, and reserved bytes are checked first, then the body length
-//! against the cap and the available bytes, then the checksum, and only
-//! then is the body parsed — so a flipped byte anywhere surfaces as
+//! The header, cap and checksum are the envelope `PIRS` shares with
+//! `PIRC` checkpoint manifests, written and checked by the crate's one
+//! codec. Decoding is strict: magic, version, and reserved bytes are
+//! checked first, then the body length against the cap and the
+//! available bytes, then the checksum, and only then is the body
+//! parsed — so a flipped byte anywhere surfaces as
 //! [`SnapshotError::ChecksumMismatch`], while a forged-but-checksummed
 //! body surfaces as a typed structural error. Trailing bytes after the
 //! checksum are rejected.
@@ -58,8 +60,8 @@
 //! but their fingerprint is reported as absent, so restore cannot
 //! verify the engine seed for them.
 
+use crate::codec::{self, CodecError, Dec};
 use crate::spec::MechanismSpec;
-use crate::wal::crc32;
 use crate::wire;
 
 /// Magic bytes opening every snapshot.
@@ -93,13 +95,6 @@ pub fn seed_fingerprint(engine_seed: u64, session_id: u64) -> u64 {
     let s = session_seed(engine_seed, session_id);
     mix64(s ^ 0xA076_1D64_78BD_642F) ^ mix64(s.rotate_left(32) ^ 0xE703_7ED1_A0B4_28DB)
 }
-
-/// Fixed header length: magic (4) + version (1) + reserved (3) + body
-/// length (4).
-pub(crate) const SNAPSHOT_HEADER_LEN: usize = 12;
-
-/// Trailing checksum length.
-pub(crate) const SNAPSHOT_TRAILER_LEN: usize = 4;
 
 /// Hard cap on the body length (64 MiB). Real snapshots are `O(d log T)`
 /// — kilobytes — so anything near this cap is a forged or corrupt length
@@ -214,6 +209,25 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// Envelope failures, as [`codec::open`] and [`codec::seal`] report them.
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::BadMagic(got) => SnapshotError::BadMagic { got },
+            CodecError::UnsupportedVersion(got) => SnapshotError::UnsupportedVersion { got },
+            CodecError::NonZeroReserved => SnapshotError::NonZeroReserved,
+            CodecError::TooLarge { len, .. } => SnapshotError::BodyTooLarge { len },
+            CodecError::Truncated { expected, got } => {
+                SnapshotError::Truncated { have: got, need: expected }
+            }
+            CodecError::ChecksumMismatch { stored, computed } => {
+                SnapshotError::ChecksumMismatch { expected: computed, got: stored }
+            }
+            other => SnapshotError::Malformed { reason: other.to_string() },
+        }
+    }
+}
+
 /// The fields a version-2 snapshot serializes, borrowed for encoding.
 pub(crate) struct SnapshotBody<'a> {
     pub session_id: u64,
@@ -247,163 +261,61 @@ pub(crate) struct DecodedSnapshot {
 /// Append a complete snapshot (header + body + checksum) to `out`.
 /// On error `out` is truncated back to its original length.
 pub(crate) fn encode_into(out: &mut Vec<u8>, body: &SnapshotBody<'_>) -> Result<(), SnapshotError> {
-    let start = out.len();
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.push(SNAPSHOT_VERSION);
-    out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(&[0u8; 4]); // body length, patched below
+    codec::seal(out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY, |e| {
+        e.u64(body.session_id);
+        e.u64(body.seed_fingerprint);
+        e.u64(body.t_max);
+        e.u64(body.t);
+        e.f64(body.epsilon);
+        e.f64(body.delta);
+        e.f64(body.spent_epsilon);
+        e.f64(body.spent_delta);
 
-    out.extend_from_slice(&body.session_id.to_le_bytes());
-    out.extend_from_slice(&body.seed_fingerprint.to_le_bytes());
-    out.extend_from_slice(&body.t_max.to_le_bytes());
-    out.extend_from_slice(&body.t.to_le_bytes());
-    out.extend_from_slice(&body.epsilon.to_bits().to_le_bytes());
-    out.extend_from_slice(&body.delta.to_bits().to_le_bytes());
-    out.extend_from_slice(&body.spent_epsilon.to_bits().to_le_bytes());
-    out.extend_from_slice(&body.spent_delta.to_bits().to_le_bytes());
-
-    let spec_len_at = out.len();
-    out.extend_from_slice(&[0u8; 4]);
-    if let Err(e) = wire::encode_spec_into(out, body.spec) {
-        out.truncate(start);
-        return Err(SnapshotError::Unsupported { reason: e.to_string() });
-    }
-    let spec_len = out.len() - spec_len_at - 4;
-    let Ok(spec_len) = u32::try_from(spec_len) else {
-        out.truncate(start);
-        return Err(SnapshotError::Malformed {
-            reason: format!("spec encoding is {spec_len} bytes"),
-        });
-    };
-    out[spec_len_at..spec_len_at + 4].copy_from_slice(&spec_len.to_le_bytes());
-
-    let Ok(state_len) = u32::try_from(body.state.len()) else {
-        out.truncate(start);
-        return Err(SnapshotError::Malformed {
-            reason: format!("state blob is {} bytes", body.state.len()),
-        });
-    };
-    out.extend_from_slice(&state_len.to_le_bytes());
-    out.extend_from_slice(body.state);
-
-    let body_len = out.len() - start - SNAPSHOT_HEADER_LEN;
-    if body_len > MAX_SNAPSHOT_BODY as usize {
-        out.truncate(start);
-        return Err(SnapshotError::BodyTooLarge { len: body_len as u32 });
-    }
-    let body_len = body_len as u32;
-    out[start + 8..start + 12].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    Ok(())
-}
-
-/// Strict cursor over the checksummed body. Any shortfall here means the
-/// encoder was buggy or the length fields were forged with a fixed-up
-/// checksum, so everything maps to [`SnapshotError::Malformed`].
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
-        let remaining = self.buf.len() - self.pos;
-        if remaining < n {
-            return Err(SnapshotError::Malformed {
-                reason: format!("body ends inside {what}: need {n} bytes, have {remaining}"),
-            });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn take_u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn take_u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn take_f64(&mut self, what: &str) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.take_u64(what)?))
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        let left = self.buf.len() - self.pos;
-        if left != 0 {
-            return Err(SnapshotError::Malformed {
-                reason: format!("{left} unparsed bytes after the state blob"),
-            });
-        }
+        // Lengths past `u32` would blow the body cap, which `seal`
+        // refuses, so these casts never truncate a snapshot.
+        let spec_len_at = e.pos();
+        e.u32(0); // spec length, backfilled below
+        wire::enc_spec(e, body.spec)
+            .map_err(|err| SnapshotError::Unsupported { reason: err.to_string() })?;
+        e.patch_u32(spec_len_at, (e.pos() - spec_len_at - 4) as u32)?;
+        e.u32(body.state.len() as u32);
+        e.bytes(body.state);
         Ok(())
-    }
+    })
 }
 
 /// Decode a complete snapshot blob, validating everything.
 pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
-    if bytes.len() < SNAPSHOT_HEADER_LEN {
-        return Err(SnapshotError::Truncated { have: bytes.len(), need: SNAPSHOT_HEADER_LEN });
-    }
-    if bytes[0..4] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic { got: [bytes[0], bytes[1], bytes[2], bytes[3]] });
-    }
-    let version = bytes[4];
-    if !(SNAPSHOT_OLDEST_READABLE..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion { got: version });
-    }
-    if bytes[5..8] != [0u8; 3] {
-        return Err(SnapshotError::NonZeroReserved);
-    }
-    let body_len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if body_len > MAX_SNAPSHOT_BODY {
-        return Err(SnapshotError::BodyTooLarge { len: body_len });
-    }
-    let need = SNAPSHOT_HEADER_LEN + body_len as usize + SNAPSHOT_TRAILER_LEN;
-    if bytes.len() < need {
-        return Err(SnapshotError::Truncated { have: bytes.len(), need });
-    }
-    if bytes.len() > need {
-        return Err(SnapshotError::Malformed {
-            reason: format!("{} trailing bytes after the checksum", bytes.len() - need),
-        });
-    }
-    let crc_at = need - SNAPSHOT_TRAILER_LEN;
-    let stored = u32::from_le_bytes([
-        bytes[crc_at],
-        bytes[crc_at + 1],
-        bytes[crc_at + 2],
-        bytes[crc_at + 3],
-    ]);
-    let computed = crc32(&bytes[..crc_at]);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { expected: computed, got: stored });
-    }
+    let (version, body) = codec::open(
+        bytes,
+        SNAPSHOT_MAGIC,
+        SNAPSHOT_OLDEST_READABLE..=SNAPSHOT_VERSION,
+        MAX_SNAPSHOT_BODY,
+    )?;
+    decode_body(version, body).map_err(|e| SnapshotError::Malformed { reason: e.to_string() })
+}
 
-    let mut c = Cursor::new(&bytes[SNAPSHOT_HEADER_LEN..crc_at]);
-    let session_id = c.take_u64("session id")?;
-    let seed_fingerprint = if version >= 2 { Some(c.take_u64("seed fingerprint")?) } else { None };
-    let t_max = c.take_u64("t_max")?;
-    let t = c.take_u64("t")?;
-    let epsilon = c.take_f64("budget epsilon")?;
-    let delta = c.take_f64("budget delta")?;
-    let spent_epsilon = c.take_f64("spent epsilon")?;
-    let spent_delta = c.take_f64("spent delta")?;
-    let spec_len = c.take_u32("spec length")? as usize;
-    let spec_bytes = c.take(spec_len, "spec")?;
-    let spec = wire::decode_spec_exact(spec_bytes)
-        .map_err(|e| SnapshotError::Malformed { reason: format!("spec: {e}") })?;
-    let state_len = c.take_u32("state length")? as usize;
-    let state = c.take(state_len, "state blob")?.to_vec();
-    c.finish()?;
+/// Parse a checksummed body. Any shortfall here means the encoder was
+/// buggy or the length fields were forged with a fixed-up checksum, so
+/// [`decode`] reports every failure as [`SnapshotError::Malformed`].
+fn decode_body(version: u8, body: &[u8]) -> Result<DecodedSnapshot, CodecError> {
+    let mut d = Dec::new(body);
+    let session_id = d.u64()?;
+    let seed_fingerprint = if version >= 2 { Some(d.u64()?) } else { None };
+    let t_max = d.u64()?;
+    let t = d.u64()?;
+    let epsilon = d.f64()?;
+    let delta = d.f64()?;
+    let spent_epsilon = d.f64()?;
+    let spent_delta = d.f64()?;
+    let spec_len = d.u32()? as usize;
+    let mut spec_bytes = Dec::new(d.take(spec_len)?);
+    let spec =
+        wire::dec_spec(&mut spec_bytes).map_err(|e| CodecError::Malformed(format!("spec: {e}")))?;
+    spec_bytes.finish()?;
+    let state_len = d.u32()? as usize;
+    let state = d.take(state_len)?.to_vec();
+    d.finish()?;
 
     Ok(DecodedSnapshot {
         session_id,
@@ -422,6 +334,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{crc32, ENVELOPE_HEADER_LEN, ENVELOPE_TRAILER_LEN};
 
     fn sample_blob() -> Vec<u8> {
         let spec = MechanismSpec::reg1_l2(3);
@@ -446,7 +359,7 @@ mod tests {
     }
 
     fn refix_crc(blob: &mut [u8]) {
-        let crc_at = blob.len() - SNAPSHOT_TRAILER_LEN;
+        let crc_at = blob.len() - ENVELOPE_TRAILER_LEN;
         let crc = crc32(&blob[..crc_at]);
         blob[crc_at..].copy_from_slice(&crc.to_le_bytes());
     }
@@ -548,7 +461,7 @@ mod tests {
         // Forge the spec length to swallow the rest of the body, then fix
         // the checksum so decoding reaches the body parser.
         let mut blob = sample_blob();
-        let spec_len_at = SNAPSHOT_HEADER_LEN + 8 * 8;
+        let spec_len_at = ENVELOPE_HEADER_LEN + 8 * 8;
         blob[spec_len_at..spec_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         refix_crc(&mut blob);
         assert!(matches!(decode(&blob), Err(SnapshotError::Malformed { .. })));
@@ -558,8 +471,8 @@ mod tests {
     /// layout a pre-fingerprint (version 1) build would have written.
     fn downgrade_to_v1(blob: &[u8]) -> Vec<u8> {
         let mut v1 = Vec::with_capacity(blob.len() - 8);
-        v1.extend_from_slice(&blob[..SNAPSHOT_HEADER_LEN + 8]);
-        v1.extend_from_slice(&blob[SNAPSHOT_HEADER_LEN + 16..]);
+        v1.extend_from_slice(&blob[..ENVELOPE_HEADER_LEN + 8]);
+        v1.extend_from_slice(&blob[ENVELOPE_HEADER_LEN + 16..]);
         v1[4] = 1;
         let body_len = u32::from_le_bytes([v1[8], v1[9], v1[10], v1[11]]) - 8;
         v1[8..12].copy_from_slice(&body_len.to_le_bytes());

@@ -142,6 +142,8 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+pub use crate::codec::crc32;
+use crate::codec::{self, CodecError, Dec, Enc};
 use crate::engine::ShardedEngine;
 use crate::ingress::{Command, Reply};
 use crate::storage::{StorageFile, StorageHandle};
@@ -164,67 +166,6 @@ pub const RECORD_OVERHEAD: usize = RECORD_HEADER_LEN + 4;
 /// payload cap. A corrupted length field must not OOM recovery (the
 /// record-header CRC catches flips first; this is defense in depth).
 pub const MAX_RECORD_PAYLOAD: u32 = wire::MAX_PAYLOAD + wire::HEADER_LEN as u32;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table built at compile time
-// ---------------------------------------------------------------------------
-
-/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
-/// table; `CRC_TABLES[k][b]` folds a byte that sits `k` positions ahead
-/// of the running CRC, so eight input bytes fold with eight independent
-/// lookups per iteration instead of a serial chain of eight.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// CRC-32 (IEEE) of `bytes` — the checksum guarding every segment
-/// header, record header, and record payload. Slicing-by-8: the hot
-/// append path checksums every payload, so the byte-serial dependency
-/// chain matters.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -649,7 +590,6 @@ pub const CHECKPOINT_VERSION: u8 = 1;
 /// Hard cap on a manifest body (256 MiB): a corrupted length field must
 /// not size an allocation.
 pub const MAX_MANIFEST_BODY: u32 = 256 * 1024 * 1024;
-const MANIFEST_HEADER_LEN: usize = 12;
 
 /// The file name of checkpoint generation `generation`.
 pub fn checkpoint_file_name(generation: u32) -> String {
@@ -668,9 +608,11 @@ fn parse_checkpoint_name(name: &str) -> Option<u32> {
 /// A decoded checkpoint manifest: where each shard's log was cut, and
 /// every session alive at the cut as a `PIRS` snapshot blob.
 ///
-/// On-disk layout mirrors the snapshot format: a 12-byte header (magic
-/// `PIRC`, version, 3 reserved zero bytes, body length LE u32), the
-/// body, and a trailing CRC-32 over header + body. Body, in order:
+/// On-disk layout is the envelope `PIRS` snapshots use (written and
+/// checked by the crate's codec): a 12-byte header (magic `PIRC`,
+/// version, 3 reserved zero bytes, body length LE u32, capped at
+/// [`MAX_MANIFEST_BODY`] on write and read), the body, and a trailing
+/// CRC-32 over header + body. Body, in order:
 /// generation (u32), epoch-present flag (u8) + max epoch (u32), chain
 /// count (u32) then per chain `shard, next_seg_seq, next_record_seq`
 /// (u32 each, sorted by shard), snapshot count (u32) then per snapshot a
@@ -684,109 +626,69 @@ pub(crate) struct Manifest {
 }
 
 impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.push(CHECKPOINT_VERSION);
-        out.extend_from_slice(&[0u8; 3]);
-        out.extend_from_slice(&[0u8; 4]); // body length, patched below
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.push(u8::from(self.max_epoch.is_some()));
-        out.extend_from_slice(&self.max_epoch.unwrap_or(0).to_le_bytes());
+    /// Seal the manifest. A body past [`MAX_MANIFEST_BODY`] is refused
+    /// here, before anything is written: recovery would reject it after
+    /// the segments it covers were purged.
+    fn encode(&self) -> Result<Vec<u8>, CodecError> {
         let mut chains = self.chains.clone();
         chains.sort_by_key(|c| c.shard);
-        out.extend_from_slice(&(chains.len() as u32).to_le_bytes());
-        for c in &chains {
-            out.extend_from_slice(&c.shard.to_le_bytes());
-            out.extend_from_slice(&c.next_seg_seq.to_le_bytes());
-            out.extend_from_slice(&c.next_record_seq.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.snapshots.len() as u32).to_le_bytes());
-        for s in &self.snapshots {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s);
-        }
-        let body_len = (out.len() - MANIFEST_HEADER_LEN) as u32;
-        out[8..12].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let mut out = Vec::new();
+        codec::seal(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, MAX_MANIFEST_BODY, |e| {
+            e.u32(self.generation);
+            e.u8(u8::from(self.max_epoch.is_some()));
+            e.u32(self.max_epoch.unwrap_or(0));
+            // Counts and lengths past `u32` would blow the body cap, which
+            // `seal` refuses, so these casts never truncate a manifest.
+            e.u32(chains.len() as u32);
+            for c in &chains {
+                e.u32(c.shard);
+                e.u32(c.next_seg_seq);
+                e.u32(c.next_record_seq);
+            }
+            e.u32(self.snapshots.len() as u32);
+            for s in &self.snapshots {
+                e.u32(s.len() as u32);
+                e.bytes(s);
+            }
+            Ok::<(), CodecError>(())
+        })?;
+        Ok(out)
     }
 
-    /// Strict decode; any lie is a `reason` string the caller wraps in
+    /// Strict decode; the caller wraps any error in
     /// [`WalError::CorruptManifest`] with the file name attached.
-    fn decode(bytes: &[u8]) -> Result<Manifest, String> {
-        if bytes.len() < MANIFEST_HEADER_LEN {
-            return Err(format!("{} bytes is shorter than a manifest header", bytes.len()));
-        }
-        if bytes[0..4] != CHECKPOINT_MAGIC {
-            return Err(format!("bad magic {:02x?}", &bytes[0..4]));
-        }
-        if bytes[4] != CHECKPOINT_VERSION {
-            return Err(format!("unsupported manifest version {}", bytes[4]));
-        }
-        if bytes[5..8] != [0u8; 3] {
-            return Err("reserved header bytes set".to_string());
-        }
-        let body_len = le_u32(bytes, 8);
-        if body_len > MAX_MANIFEST_BODY {
-            return Err(format!("body length {body_len} exceeds the {MAX_MANIFEST_BODY}-byte cap"));
-        }
-        let need = MANIFEST_HEADER_LEN + body_len as usize + 4;
-        if bytes.len() != need {
-            return Err(format!("file is {} bytes, layout demands {need}", bytes.len()));
-        }
-        let crc_at = need - 4;
-        let stored = le_u32(bytes, crc_at);
-        let computed = crc32(&bytes[..crc_at]);
-        if stored != computed {
-            return Err(format!(
-                "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ));
-        }
-
-        let body = &bytes[MANIFEST_HEADER_LEN..crc_at];
-        let mut pos = 0usize;
-        let mut take = |n: usize, what: &str| -> Result<&[u8], String> {
-            if body.len() - pos < n {
-                return Err(format!("body ends inside {what}"));
-            }
-            let s = &body[pos..pos + n];
-            pos += n;
-            Ok(s)
-        };
-        let generation = le_u32(take(4, "generation")?, 0);
-        let has_epoch = take(1, "epoch flag")?[0];
-        if has_epoch > 1 {
-            return Err(format!("epoch flag is {has_epoch}, want 0 or 1"));
-        }
-        let epoch = le_u32(take(4, "max epoch")?, 0);
-        let max_epoch = (has_epoch == 1).then_some(epoch);
-        let chain_count = le_u32(take(4, "chain count")?, 0) as usize;
-        let mut chains = Vec::new();
+    fn decode(bytes: &[u8]) -> Result<Manifest, CodecError> {
+        let (_, body) = codec::open(
+            bytes,
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION..=CHECKPOINT_VERSION,
+            MAX_MANIFEST_BODY,
+        )?;
+        let mut d = Dec::new(body);
+        let generation = d.u32()?;
+        let has_epoch = d.bool()?;
+        let epoch = d.u32()?;
+        let max_epoch = has_epoch.then_some(epoch);
+        let chain_count = d.u32()? as usize;
+        let mut chains = Vec::with_capacity(d.capacity(chain_count, 12));
         let mut last_shard: Option<u32> = None;
         for _ in 0..chain_count {
-            let c = take(12, "a chain entry")?;
-            let shard = le_u32(c, 0);
+            let shard = d.u32()?;
             if last_shard.is_some_and(|p| shard <= p) {
-                return Err(format!("chain for shard {shard} out of order or duplicated"));
+                return Err(CodecError::Malformed(format!(
+                    "chain for shard {shard} out of order or duplicated"
+                )));
             }
             last_shard = Some(shard);
-            chains.push(ShardChain {
-                shard,
-                next_seg_seq: le_u32(c, 4),
-                next_record_seq: le_u32(c, 8),
-            });
+            chains.push(ShardChain { shard, next_seg_seq: d.u32()?, next_record_seq: d.u32()? });
         }
-        let snap_count = le_u32(take(4, "snapshot count")?, 0) as usize;
-        let mut snapshots = Vec::new();
+        let snap_count = d.u32()? as usize;
+        let mut snapshots = Vec::with_capacity(d.capacity(snap_count, 4));
         for _ in 0..snap_count {
-            let len = le_u32(take(4, "a snapshot length")?, 0) as usize;
-            snapshots.push(take(len, "a snapshot blob")?.to_vec());
+            let len = d.u32()? as usize;
+            snapshots.push(d.take(len)?.to_vec());
         }
-        if pos != body.len() {
-            return Err(format!("{} unparsed bytes after the snapshots", body.len() - pos));
-        }
+        d.finish()?;
         Ok(Manifest { generation, max_epoch, chains, snapshots })
     }
 }
@@ -817,8 +719,10 @@ pub(crate) fn load_manifest(
         return Ok(None);
     };
     let bytes = storage.read(&path).map_err(|e| io_err(&path, &e))?;
-    let manifest = Manifest::decode(&bytes)
-        .map_err(|reason| WalError::CorruptManifest { file: path.display().to_string(), reason })?;
+    let manifest = Manifest::decode(&bytes).map_err(|e| WalError::CorruptManifest {
+        file: path.display().to_string(),
+        reason: e.to_string(),
+    })?;
     if manifest.generation != generation {
         return Err(WalError::CorruptManifest {
             file: path.display().to_string(),
@@ -834,16 +738,22 @@ pub(crate) fn load_manifest(
 /// Durably publish a manifest: write to a temporary name, fsync, rename
 /// into place, fsync the directory. A crash at any point leaves either
 /// the previous generation or the new one — never a torn manifest under
-/// the final name.
+/// the final name. A manifest recovery would refuse (body past
+/// [`MAX_MANIFEST_BODY`]) fails with [`WalError::CorruptManifest`]
+/// before any file is touched, so the caller never purges on its
+/// strength.
 pub(crate) fn write_manifest(
     storage: &StorageHandle,
     dir: &Path,
     manifest: &Manifest,
 ) -> Result<(), WalError> {
-    storage.create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
     let final_path = dir.join(checkpoint_file_name(manifest.generation));
+    let bytes = manifest.encode().map_err(|e| WalError::CorruptManifest {
+        file: final_path.display().to_string(),
+        reason: format!("refusing to write: {e}"),
+    })?;
+    storage.create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
     let tmp_path = dir.join(format!("{}.tmp", checkpoint_file_name(manifest.generation)));
-    let bytes = manifest.encode();
     let mut file = storage.create(&tmp_path).map_err(|e| io_err(&tmp_path, &e))?;
     file.append(&bytes).map_err(|e| io_err(&tmp_path, &e))?;
     // Always durable, regardless of the engine's fsync policy: segment
@@ -984,16 +894,20 @@ pub struct SegmentHeader {
 impl SegmentHeader {
     /// Serialize to the on-disk 28-byte header.
     pub fn to_bytes(&self) -> [u8; SEGMENT_HEADER_LEN] {
-        let mut h = [0u8; SEGMENT_HEADER_LEN];
-        h[0..4].copy_from_slice(&WAL_MAGIC);
-        h[4] = WAL_VERSION;
-        h[8..12].copy_from_slice(&self.epoch.to_le_bytes());
-        h[12..16].copy_from_slice(&self.shard.to_le_bytes());
-        h[16..20].copy_from_slice(&self.seg_seq.to_le_bytes());
-        h[20..24].copy_from_slice(&self.first_record_seq.to_le_bytes());
-        let crc = crc32(&h[0..24]);
-        h[24..28].copy_from_slice(&crc.to_le_bytes());
-        h
+        let mut h = Vec::with_capacity(SEGMENT_HEADER_LEN);
+        let mut e = Enc::new(&mut h);
+        e.bytes(&WAL_MAGIC);
+        e.u8(WAL_VERSION);
+        e.bytes(&[0; 3]);
+        e.u32(self.epoch);
+        e.u32(self.shard);
+        e.u32(self.seg_seq);
+        e.u32(self.first_record_seq);
+        let crc = crc32(&h);
+        Enc::new(&mut h).u32(crc);
+        // `h` holds exactly the 28 bytes just written; were it ever
+        // short, the zero fill would fail the header CRC on read.
+        Dec::new(&h).take_arr().unwrap_or([0; SEGMENT_HEADER_LEN])
     }
 }
 
@@ -1030,14 +944,30 @@ pub struct ScannedSegment {
     pub torn_tail: Option<TornInfo>,
 }
 
-fn le_u32(buf: &[u8], at: usize) -> u32 {
-    // Callers bounds-check `at + 4` against the scanned span before
-    // calling; if one ever did not, a zero comes back and the record
-    // fails its length/CRC validation instead of panicking the scan.
-    match buf.get(at..).and_then(|rest| rest.first_chunk::<4>()) {
-        Some(&bytes) => u32::from_le_bytes(bytes),
-        None => 0,
-    }
+/// A segment header as read, before validation: magic, version,
+/// reserved bytes, the fields, then the stored and computed CRC-32.
+type RawSegmentHeader = ([u8; 4], u8, [u8; 3], SegmentHeader, u32, u32);
+
+/// Read a segment header. Fails only on a short buffer.
+fn read_segment_header(d: &mut Dec<'_>) -> Result<RawSegmentHeader, CodecError> {
+    let (covered, stored, computed) = d.checked(SEGMENT_HEADER_LEN - 4)?;
+    let mut h = Dec::new(covered);
+    let (magic, version, reserved) = (h.take_arr()?, h.u8()?, h.take_arr()?);
+    let header = SegmentHeader {
+        epoch: h.u32()?,
+        shard: h.u32()?,
+        seg_seq: h.u32()?,
+        first_record_seq: h.u32()?,
+    };
+    Ok((magic, version, reserved, header, stored, computed))
+}
+
+/// Read a record header: payload length, sequence, then the stored and
+/// computed CRC-32 of those first 8 bytes. Fails only on a short buffer.
+fn read_record_header(d: &mut Dec<'_>) -> Result<[u32; 4], CodecError> {
+    let (covered, stored, computed) = d.checked(RECORD_HEADER_LEN - 4)?;
+    let mut h = Dec::new(covered);
+    Ok([h.u32()?, h.u32()?, stored, computed])
 }
 
 /// Tolerantly scan one segment: validate the header, decode every
@@ -1067,9 +997,11 @@ pub(crate) fn scan_segment_on(
     let (shard, seg_seq) = parse_segment_name(name)
         .ok_or_else(|| WalError::UnrecognizedSegment { file: file.clone() })?;
     let buf = storage.read(path).map_err(|e| io_err(path, &e))?;
+    let mut d = Dec::new(&buf);
 
     // Shorter than a header: the segment's creation itself was torn.
-    if buf.len() < SEGMENT_HEADER_LEN {
+    let Ok((magic, version, reserved, header, stored_crc, computed)) = read_segment_header(&mut d)
+    else {
         return Ok(ScannedSegment {
             path: path.to_path_buf(),
             shard,
@@ -1078,23 +1010,21 @@ pub(crate) fn scan_segment_on(
             commands: Vec::new(),
             torn_tail: Some(TornInfo { offset: 0, have: buf.len(), need: SEGMENT_HEADER_LEN }),
         });
-    }
+    };
 
     // Header validation, most specific lie first.
-    if buf[0..4] != WAL_MAGIC {
-        return Err(WalError::BadMagic { file, got: [buf[0], buf[1], buf[2], buf[3]] });
+    if magic != WAL_MAGIC {
+        return Err(WalError::BadMagic { file, got: magic });
     }
-    if buf[4] != WAL_VERSION {
-        return Err(WalError::UnsupportedVersion { file, got: buf[4] });
+    if version != WAL_VERSION {
+        return Err(WalError::UnsupportedVersion { file, got: version });
     }
-    if buf[5] != 0 || buf[6] != 0 || buf[7] != 0 {
+    if reserved != [0; 3] {
         return Err(WalError::CorruptHeader {
             file,
             reason: "reserved header bytes set".to_string(),
         });
     }
-    let stored_crc = le_u32(&buf, 24);
-    let computed = crc32(&buf[0..24]);
     if stored_crc != computed {
         return Err(WalError::ChecksumMismatch {
             file,
@@ -1103,12 +1033,6 @@ pub(crate) fn scan_segment_on(
             got: computed,
         });
     }
-    let header = SegmentHeader {
-        epoch: le_u32(&buf, 8),
-        shard: le_u32(&buf, 12),
-        seg_seq: le_u32(&buf, 16),
-        first_record_seq: le_u32(&buf, 20),
-    };
     if header.shard != shard || header.seg_seq != seg_seq {
         return Err(WalError::CorruptHeader {
             file,
@@ -1122,21 +1046,16 @@ pub(crate) fn scan_segment_on(
     // Records.
     let mut commands: Vec<Command> = Vec::new();
     let mut torn_tail = None;
-    let mut pos = SEGMENT_HEADER_LEN;
     loop {
-        let remaining = buf.len() - pos;
+        let (pos, remaining) = (d.pos(), d.remaining());
         if remaining == 0 {
             break; // clean end
         }
-        if remaining < RECORD_HEADER_LEN {
+        let Ok([len, seq, stored_head_crc, computed_head_crc]) = read_record_header(&mut d) else {
             torn_tail =
                 Some(TornInfo { offset: pos as u64, have: remaining, need: RECORD_HEADER_LEN });
             break;
-        }
-        let len = le_u32(&buf, pos);
-        let seq = le_u32(&buf, pos + 4);
-        let stored_head_crc = le_u32(&buf, pos + 8);
-        let computed_head_crc = crc32(&buf[pos..pos + 8]);
+        };
         // The record-header CRC comes first: a complete 12-byte header
         // was written in one piece, so a mismatch is corruption — and
         // without this check a flipped length field could fake a torn
@@ -1156,14 +1075,12 @@ pub(crate) fn scan_segment_on(
         if seq != expected_seq {
             return Err(WalError::OutOfOrder { file, expected: expected_seq, got: seq });
         }
-        let need = RECORD_HEADER_LEN + len as usize + 4;
-        if remaining < need {
+        let need = RECORD_OVERHEAD + len as usize;
+        let Ok((payload, stored_payload_crc, computed_payload_crc)) = d.checked(len as usize)
+        else {
             torn_tail = Some(TornInfo { offset: pos as u64, have: remaining, need });
             break;
-        }
-        let payload = &buf[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len as usize];
-        let stored_payload_crc = le_u32(&buf, pos + RECORD_HEADER_LEN + len as usize);
-        let computed_payload_crc = crc32(payload);
+        };
         if stored_payload_crc != computed_payload_crc {
             return Err(WalError::ChecksumMismatch {
                 file,
@@ -1178,7 +1095,6 @@ pub(crate) fn scan_segment_on(
             error,
         })?;
         commands.push(cmd);
-        pos += need;
     }
 
     Ok(ScannedSegment {
@@ -1198,26 +1114,16 @@ pub(crate) fn scan_segment_on(
 /// Everything [`scan_segment`] rejects, plus [`WalError::TornTail`].
 pub fn decode_segment(path: &Path) -> Result<(SegmentHeader, Vec<Command>), WalError> {
     let s = scan_segment(path)?;
-    if let Some(t) = s.torn_tail {
-        return Err(WalError::TornTail {
-            file: s.path.display().to_string(),
-            offset: t.offset,
-            have: t.have,
-            need: t.need,
-        });
+    match (s.header, s.torn_tail) {
+        (Some(header), None) => Ok((header, s.commands)),
+        // A headerless segment always reports a torn tail; were it ever
+        // not to, strict decoding still answers with the torn header.
+        (_, torn) => {
+            let t = torn.unwrap_or(TornInfo { offset: 0, have: 0, need: SEGMENT_HEADER_LEN });
+            let file = s.path.display().to_string();
+            Err(WalError::TornTail { file, offset: t.offset, have: t.have, need: t.need })
+        }
     }
-    // A headerless segment always reports a torn tail, so this branch is
-    // unreachable after the check above — but strict decoding should
-    // answer a missing header with the torn-header error, not a panic.
-    let Some(header) = s.header else {
-        return Err(WalError::TornTail {
-            file: s.path.display().to_string(),
-            offset: 0,
-            have: 0,
-            need: SEGMENT_HEADER_LEN,
-        });
-    };
-    Ok((header, s.commands))
 }
 
 // ---------------------------------------------------------------------------
@@ -1665,15 +1571,7 @@ impl WalWriter {
     /// [`WalError::Wire`] for unencodable commands (custom set
     /// factories), or I/O failures (which poison the writer).
     pub fn append(&mut self, cmd: &Command) -> Result<(), WalError> {
-        if self.poisoned {
-            return Err(WalError::Poisoned { file: self.path.display().to_string() });
-        }
-        let frame = wire::encode_command(cmd).map_err(|error| WalError::Wire {
-            file: self.path.display().to_string(),
-            offset: self.written,
-            error,
-        })?;
-        self.append_frame(&frame)
+        self.append_batch(std::slice::from_ref(cmd))
     }
 
     /// Append many commands as consecutive records, coalescing the
@@ -1697,27 +1595,10 @@ impl WalWriter {
         if self.poisoned {
             return Err(WalError::Poisoned { file: self.path.display().to_string() });
         }
-        if self.options.fsync == FsyncPolicy::PerRecord {
-            // Per-record durability forbids coalescing. Encode every
-            // frame first so the all-or-nothing contract still holds.
-            let mut frames = Vec::with_capacity(cmds.len());
-            for cmd in cmds {
-                frames.push(wire::encode_command(cmd).map_err(|error| WalError::Wire {
-                    file: self.path.display().to_string(),
-                    offset: self.written,
-                    error,
-                })?);
-            }
-            for frame in &frames {
-                self.append_frame(frame)?;
-            }
-            return Ok(());
-        }
 
         // Pass 1 — pure staging, no I/O: every record is built straight
-        // in the reusable staging buffer (frames encoded in place via
-        // `encode_command_into`, headers backfilled). Any failure here
-        // leaves both the log and the writer untouched.
+        // in the reusable staging buffer. Any failure here leaves both
+        // the log and the writer untouched.
         if u32::try_from(cmds.len())
             .ok()
             .and_then(|n| self.next_record_seq.checked_add(n))
@@ -1732,51 +1613,23 @@ impl WalWriter {
         pending.clear();
         let mut record_lens: Vec<usize> = Vec::with_capacity(cmds.len());
         for (i, cmd) in cmds.iter().enumerate() {
-            let seq = self.next_record_seq + i as u32;
-            let rec_start = pending.len();
-            pending.resize(rec_start + RECORD_HEADER_LEN, 0);
-            if let Err(error) = wire::encode_command_into(&mut pending, cmd) {
-                pending.clear();
-                self.scratch = pending;
-                return Err(WalError::Wire {
-                    file: self.path.display().to_string(),
-                    offset: self.written,
-                    error,
-                });
+            match stage_record(&mut pending, self.next_record_seq + i as u32, cmd) {
+                Ok(len) => record_lens.push(len),
+                Err(error) => {
+                    self.scratch = pending;
+                    return Err(WalError::Wire {
+                        file: self.path.display().to_string(),
+                        offset: self.written,
+                        error,
+                    });
+                }
             }
-            let frame_len = pending.len() - rec_start - RECORD_HEADER_LEN;
-            pending[rec_start..rec_start + 4].copy_from_slice(&(frame_len as u32).to_le_bytes());
-            pending[rec_start + 4..rec_start + 8].copy_from_slice(&seq.to_le_bytes());
-            let head_crc = crc32(&pending[rec_start..rec_start + 8]);
-            pending[rec_start + 8..rec_start + 12].copy_from_slice(&head_crc.to_le_bytes());
-            let payload_crc = crc32(&pending[rec_start + RECORD_HEADER_LEN..]);
-            pending.extend_from_slice(&payload_crc.to_le_bytes());
-            record_lens.push(RECORD_OVERHEAD + frame_len);
         }
 
-        // Pass 2 — emit: one `write` per contiguous segment stretch,
-        // rotating exactly where the one-at-a-time path would.
-        let mut flushed = 0usize;
-        let mut cursor = 0usize;
-        for &len in &record_lens {
-            let record_len = len as u64;
-            if self.records_in_segment > 0 && self.written + record_len > self.options.segment_bytes
-            {
-                self.write_stretch(&pending[flushed..cursor])?;
-                flushed = cursor;
-                self.rotate()?;
-            }
-            cursor += len;
-            self.next_record_seq += 1;
-            self.written += record_len;
-            self.appended_bytes += record_len;
-            self.records_in_segment += 1;
-            if let FsyncPolicy::Interval { .. } = self.options.fsync {
-                self.appends_since_sync += 1;
-            }
-        }
-        self.write_stretch(&pending[flushed..cursor])?;
+        // Pass 2 — emit.
+        let emitted = self.emit(&mut Dec::new(&pending), &record_lens);
         self.scratch = pending;
+        emitted?;
         if let FsyncPolicy::Interval { every } = self.options.fsync {
             if self.appends_since_sync >= every {
                 self.sync()?;
@@ -1785,13 +1638,49 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Write staged records of the given lengths: one `write` per
+    /// contiguous segment stretch — one per record, each synced, under
+    /// [`FsyncPolicy::PerRecord`] — rotating before any record that
+    /// would overflow a segment already holding records.
+    fn emit(&mut self, staged: &mut Dec<'_>, record_lens: &[usize]) -> Result<(), WalError> {
+        let mut stretch = 0usize;
+        for &len in record_lens {
+            let record_len = len as u64;
+            if self.records_in_segment > 0 && self.written + record_len > self.options.segment_bytes
+            {
+                self.write_stretch(staged, stretch)?;
+                stretch = 0;
+                self.rotate()?;
+            }
+            stretch += len;
+            self.next_record_seq += 1;
+            self.written += record_len;
+            self.appended_bytes += record_len;
+            self.records_in_segment += 1;
+            match self.options.fsync {
+                FsyncPolicy::PerRecord => {
+                    self.write_stretch(staged, stretch)?;
+                    stretch = 0;
+                    self.sync()?;
+                }
+                FsyncPolicy::Interval { .. } => self.appends_since_sync += 1,
+                FsyncPolicy::Off => {}
+            }
+        }
+        self.write_stretch(staged, stretch)
+    }
+
     /// Write one staged stretch to the current segment in one piece,
     /// riding out transient failures per the failure policy. Each
     /// failed attempt first truncates the segment back to its last
     /// known-good length, so a retry can never bury a partial record
     /// mid-log; exhaustion poisons the writer (the truncated — or, if
     /// truncation itself failed, torn — tail stays recoverable).
-    fn write_stretch(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+    fn write_stretch(&mut self, staged: &mut Dec<'_>, len: usize) -> Result<(), WalError> {
+        let bytes = staged.take(len).map_err(|e| WalError::Io {
+            file: self.path.display().to_string(),
+            reason: format!("staged records: {e}"),
+        })?;
         if bytes.is_empty() {
             return Ok(());
         }
@@ -1822,51 +1711,6 @@ impl WalWriter {
                 }
             }
         }
-    }
-
-    /// Wrap one pre-encoded wire frame in a record and write it.
-    fn append_frame(&mut self, frame: &[u8]) -> Result<(), WalError> {
-        let record_len = (RECORD_OVERHEAD + frame.len()) as u64;
-        if self.records_in_segment > 0 && self.written + record_len > self.options.segment_bytes {
-            self.rotate()?;
-        }
-        let seq = self.next_record_seq;
-        self.next_record_seq = self.next_record_seq.checked_add(1).ok_or_else(|| WalError::Io {
-            file: self.path.display().to_string(),
-            reason: "record sequence overflow".to_string(),
-        })?;
-
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        self.scratch.extend_from_slice(&seq.to_le_bytes());
-        let head_crc = crc32(&self.scratch[0..8]);
-        self.scratch.extend_from_slice(&head_crc.to_le_bytes());
-        self.scratch.extend_from_slice(frame);
-        let payload_crc = crc32(frame);
-        self.scratch.extend_from_slice(&payload_crc.to_le_bytes());
-
-        let record = std::mem::take(&mut self.scratch);
-        let outcome = self.write_stretch(&record);
-        self.scratch = record;
-        if let Err(e) = outcome {
-            self.next_record_seq = seq;
-            return Err(e);
-        }
-        self.written += record_len;
-        self.appended_bytes += record_len;
-        self.records_in_segment += 1;
-
-        match self.options.fsync {
-            FsyncPolicy::PerRecord => self.sync()?,
-            FsyncPolicy::Interval { every } => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= every {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Off => {}
-        }
-        Ok(())
     }
 
     /// Force the current segment to stable storage (`fdatasync`)
@@ -1961,6 +1805,29 @@ impl WalWriter {
     }
 }
 
+/// Stage one record for `cmd` at the end of `out` — header, the
+/// command's wire frame encoded in place, payload CRC — and return its
+/// length. On error `out` is left as it was.
+fn stage_record(out: &mut Vec<u8>, seq: u32, cmd: &Command) -> Result<usize, WireError> {
+    let start = out.len();
+    out.resize(start + RECORD_HEADER_LEN, 0); // backfilled below
+    let staged = wire::encode_command_into(out, cmd).and_then(|()| {
+        let mut e = Enc::new(out);
+        let frame_len = e.pos() - start - RECORD_HEADER_LEN;
+        e.patch_u32(start, frame_len as u32)?;
+        e.patch_u32(start + 4, seq)?;
+        let head_crc = e.crc(start..start + 8)?;
+        e.patch_u32(start + 8, head_crc)?;
+        let payload_crc = e.crc(start + RECORD_HEADER_LEN..e.pos())?;
+        e.u32(payload_crc);
+        Ok(RECORD_OVERHEAD + frame_len)
+    });
+    if staged.is_err() {
+        out.truncate(start);
+    }
+    staged
+}
+
 /// Create and header-stamp one segment file, returning the open handle
 /// and its path. Used for the writer's first segment and every
 /// rotation.
@@ -2026,6 +1893,6 @@ mod tests {
         let bytes = h.to_bytes();
         assert_eq!(&bytes[0..4], b"PIRL");
         assert_eq!(bytes[4], WAL_VERSION);
-        assert_eq!(le_u32(&bytes, 24), crc32(&bytes[0..24]));
+        assert_eq!(Dec::new(&bytes[24..]).u32(), Ok(crc32(&bytes[0..24])));
     }
 }

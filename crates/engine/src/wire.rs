@@ -23,6 +23,7 @@
 //! factories are not wire-encodable (they carry arbitrary closures);
 //! encoding one reports [`WireError::Unencodable`].
 
+use crate::codec::{CodecError, Dec, Enc};
 use crate::error::EngineError;
 use crate::ingress::{Command, Reply};
 use crate::spec::{LossSpec, MechanismSpec, SetSpec, SolverSpec};
@@ -141,115 +142,14 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Primitive encoders / decoders
-// ---------------------------------------------------------------------------
-
-/// Payload byte builder over a caller-owned buffer, so frames can be
-/// encoded in place — straight into a batch or log staging buffer —
-/// without an intermediate allocation per frame.
-struct Enc<'a> {
-    buf: &'a mut Vec<u8>,
-}
-
-impl Enc<'_> {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Strict payload cursor.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let Some(s) = self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) else {
-            return Err(WireError::Truncated {
-                expected: self.pos.saturating_add(n),
-                got: self.buf.len(),
-            });
-        };
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Fixed-size [`take`](Self::take): the array form makes the
-    /// byte-order conversions below infallible.
-    fn take_arr<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let Some(&arr) = self.buf.get(self.pos..).and_then(|rest| rest.first_chunk::<N>()) else {
-            return Err(WireError::Truncated {
-                expected: self.pos.saturating_add(N),
-                got: self.buf.len(),
-            });
-        };
-        self.pos += N;
-        Ok(arr)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.take_arr()?;
-        Ok(b)
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take_arr()?))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take_arr()?))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take_arr()?))
-    }
-    fn usize(&mut self) -> Result<usize, WireError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| WireError::Malformed(format!("{v} overflows usize")))
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".to_string()))
-    }
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::Malformed(format!("boolean byte must be 0/1, got {b}"))),
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { expected, got } => WireError::Truncated { expected, got },
+            CodecError::TrailingBytes { extra } => WireError::TrailingBytes { extra },
+            CodecError::Malformed(reason) => WireError::Malformed(reason),
+            other => WireError::Malformed(other.to_string()),
         }
-    }
-
-    /// Pre-allocation capacity for a claimed element count: never more
-    /// than the remaining payload could encode at `min_elem_size` bytes
-    /// per element, so an untrusted count cannot allocate past the frame
-    /// cap (the decode itself still errors `Truncated` on the shortfall).
-    fn capacity(&self, claimed: usize, min_elem_size: usize) -> usize {
-        claimed.min((self.buf.len() - self.pos) / min_elem_size.max(1))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos < self.buf.len() {
-            return Err(WireError::TrailingBytes { extra: self.buf.len() - self.pos });
-        }
-        Ok(())
     }
 }
 
@@ -466,7 +366,13 @@ fn dec_reg2(d: &mut Dec) -> Result<PrivIncReg2Config, WireError> {
     })
 }
 
-fn enc_spec(e: &mut Enc<'_>, spec: &MechanismSpec) -> Result<(), WireError> {
+/// Append a [`MechanismSpec`] in its wire encoding (no frame) — shared
+/// with the snapshot codec so a spec has exactly one byte layout in the
+/// repo.
+///
+/// # Errors
+/// [`WireError::Unencodable`] for specs carrying custom set factories.
+pub(crate) fn enc_spec(e: &mut Enc<'_>, spec: &MechanismSpec) -> Result<(), WireError> {
     match spec {
         MechanismSpec::Erm { set, loss, solver, tau } => {
             e.u8(0);
@@ -498,7 +404,8 @@ fn enc_spec(e: &mut Enc<'_>, spec: &MechanismSpec) -> Result<(), WireError> {
     Ok(())
 }
 
-fn dec_spec(d: &mut Dec) -> Result<MechanismSpec, WireError> {
+/// Decode a [`MechanismSpec`] — the inverse of [`enc_spec`].
+pub(crate) fn dec_spec(d: &mut Dec) -> Result<MechanismSpec, WireError> {
     Ok(match d.u8()? {
         0 => MechanismSpec::Erm {
             set: dec_set(d)?,
@@ -567,35 +474,6 @@ fn dec_engine_error(d: &mut Dec) -> Result<EngineError, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared codec surface (crate-internal)
-// ---------------------------------------------------------------------------
-
-/// Append a [`MechanismSpec`] in its wire encoding (no frame) — shared
-/// with the snapshot codec so a spec has exactly one byte layout in the
-/// repo.
-///
-/// # Errors
-/// [`WireError::Unencodable`] for specs carrying custom set factories.
-pub(crate) fn encode_spec_into(out: &mut Vec<u8>, spec: &MechanismSpec) -> Result<(), WireError> {
-    let start = out.len();
-    let mut e = Enc { buf: out };
-    let result = enc_spec(&mut e, spec);
-    if result.is_err() {
-        out.truncate(start);
-    }
-    result
-}
-
-/// Decode a [`MechanismSpec`] from exactly `bytes` (trailing bytes are an
-/// error) — the inverse of [`encode_spec_into`].
-pub(crate) fn decode_spec_exact(bytes: &[u8]) -> Result<MechanismSpec, WireError> {
-    let mut d = Dec::new(bytes);
-    let spec = dec_spec(&mut d)?;
-    d.finish()?;
-    Ok(spec)
-}
-
-// ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
 
@@ -609,30 +487,19 @@ fn build_frame(
     body: impl FnOnce(&mut Enc<'_>) -> Result<u8, WireError>,
 ) -> Result<(), WireError> {
     let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(0); // opcode, backfilled below
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // length, backfilled below
-    let payload_start = out.len();
-    let encoded = {
-        let mut e = Enc { buf: &mut *out };
-        body(&mut e)
-    };
-    let result = encoded.and_then(|op| {
-        let len = out.len() - payload_start;
+    let mut e = Enc::new(out);
+    e.bytes(&MAGIC);
+    e.u8(VERSION);
+    e.u8(0); // opcode, backfilled below
+    e.bytes(&[0; 2]); // reserved
+    e.u32(0); // length, backfilled below
+    let result = body(&mut e).and_then(|op| {
+        let len = e.pos() - start - HEADER_LEN;
         if len as u64 > u64::from(MAX_PAYLOAD) {
             return Err(WireError::FrameTooLarge { len: len as u32 });
         }
-        // Backfill opcode and length into the header written above.
-        // `get_mut` misses are impossible (the header bytes were pushed
-        // at `start` in this very function) but degrade to a truncation
-        // error rather than a panic.
-        let truncated = WireError::Truncated { expected: start + HEADER_LEN, got: out.len() };
-        let Some(op_slot) = out.get_mut(start + 5) else { return Err(truncated) };
-        *op_slot = op;
-        let Some(len_slot) = out.get_mut(start + 8..start + 12) else { return Err(truncated) };
-        len_slot.copy_from_slice(&(len as u32).to_le_bytes());
+        e.patch(start + 5, [op])?;
+        e.patch_u32(start + 8, len as u32)?;
         Ok(())
     });
     if result.is_err() {
@@ -643,20 +510,21 @@ fn build_frame(
 
 /// Parse a frame header, returning `(opcode, payload length)`.
 fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
-    // Irrefutable array destructuring: every field access is infallible.
-    let [m0, m1, m2, m3, version, op, r0, r1, l0, l1, l2, l3] = *h;
-    let magic = [m0, m1, m2, m3];
+    let mut d = Dec::new(h);
+    let magic = d.take_arr()?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
+    let version = d.u8()?;
     if version != VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let reserved = u16::from_le_bytes([r0, r1]);
+    let op = d.u8()?;
+    let reserved = d.u16()?;
     if reserved != 0 {
         return Err(WireError::NonZeroReserved(reserved));
     }
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let len = d.u32()?;
     if len > MAX_PAYLOAD {
         return Err(WireError::FrameTooLarge { len });
     }
@@ -785,17 +653,11 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, WireError> {
 /// Validate a frame's header against its buffer and return
 /// `(opcode, payload)`.
 fn split_frame(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
-    let Some((header, rest)) = bytes.split_first_chunk::<HEADER_LEN>() else {
-        return Err(WireError::Truncated { expected: HEADER_LEN, got: bytes.len() });
-    };
-    let (op, len) = parse_header(header)?;
-    if rest.len() < len {
-        return Err(WireError::Truncated { expected: HEADER_LEN + len, got: bytes.len() });
-    }
-    if rest.len() > len {
-        return Err(WireError::TrailingBytes { extra: rest.len() - len });
-    }
-    Ok((op, rest))
+    let mut d = Dec::new(bytes);
+    let (op, len) = parse_header(&d.take_arr()?)?;
+    let payload = d.take(len)?;
+    d.finish()?;
+    Ok((op, payload))
 }
 
 fn decode_command_payload(op: u8, payload: &[u8]) -> Result<Command, WireError> {

@@ -18,15 +18,15 @@
 //! array-of-tables headers. Example:
 //!
 //! ```toml
-//! max_entries = 12
+//! max_entries = 8
 //!
 //! [[allow]]
 //! rule = "R1"
-//! file = "crates/engine/src/wire.rs"
+//! file = "crates/engine/src/codec.rs"
 //! token = "index"
-//! pattern = "CRC_TABLES["
-//! max = 4
-//! reason = "table index is `byte as usize` into [u64; 256]; in bounds by type"
+//! pattern = "tables["
+//! max = 20
+//! reason = "CRC table index is `(x & 0xFF) as usize` into [u32; 256]; in bounds by type"
 //! ```
 
 use crate::rules::Finding;

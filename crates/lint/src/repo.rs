@@ -24,7 +24,8 @@ use crate::baseline::{self, Baseline, BaselineError};
 use crate::rules::{durability, hygiene, panic_free, protocol, storage_layer, zero_alloc, Finding};
 
 /// R1 scope: files that run on shard-worker / connection threads.
-pub const R1_FILES: [&str; 9] = [
+pub const R1_FILES: [&str; 10] = [
+    "crates/engine/src/codec.rs",
     "crates/engine/src/ingress.rs",
     "crates/engine/src/shard.rs",
     "crates/engine/src/wire.rs",

@@ -411,7 +411,11 @@ fn checkpoint_worked_example_matches_protocol_md() {
     assert_eq!((report.generation, report.sessions), (0, 1));
     let bytes = std::fs::read(tmp.path().join(wal::checkpoint_file_name(0))).unwrap();
     let snapshot = engine.with_session(7, |s| s.snapshot().unwrap()).unwrap();
-    assert_eq!(bytes[45..160], snapshot[..], "the manifest embeds the session's PIRS blob verbatim");
+    assert_eq!(
+        bytes[45..160],
+        snapshot[..],
+        "the manifest embeds the session's PIRS blob verbatim"
+    );
     #[rustfmt::skip]
     let expected: Vec<u8> = vec![
         // magic "PIRC", version 1, reserved
